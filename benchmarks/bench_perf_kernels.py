@@ -97,8 +97,6 @@ def test_perf_codec_size_scalar(benchmark, codec):
 @pytest.mark.parametrize("codec", sorted(kernels.SIZE_KERNELS))
 def test_perf_codec_size_vectorized(benchmark, codec):
     """One kernel pass over the whole line matrix (the load-time path)."""
-    if not kernels.available():
-        pytest.skip("NumPy unavailable; vectorised size kernels inactive")
     lines = _codec_lines()
     matrix = kernels.lines_matrix(lines)
     size_kernel = kernels.SIZE_KERNELS[codec]

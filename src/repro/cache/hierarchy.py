@@ -182,8 +182,9 @@ class CacheHierarchy:
 
         The caller is responsible for the L1 probe *and* its accounting
         (``stats.accesses``/``stats.l1_hits`` and the L1's own hit/miss
-        counters) — this is the hook the single-core fast loop uses to
-        inline the L1 hit path and batch those counters locally.
+        counters): :meth:`access` does both per access, and a caller that
+        inlines the L1 hit path can batch those counters itself.  The
+        batch engine (:mod:`repro.sim.batch`) inlines this miss path.
         """
         stats = self.stats
         l1 = self.l1

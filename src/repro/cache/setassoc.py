@@ -16,8 +16,8 @@ inline LRU policy and ``referenced``/``hands`` for the inline NRU policy.
 Way ``w`` of set ``s`` lives at index ``s * ways + w``; each
 :class:`_Set` handle carries that base offset next to its lookup dict.
 The columns are plain Python lists, deliberately: CPython indexes lists
-2-4x faster than ``array.array``/NumPy scalars, and the scalar engines
-touch these columns on every access, while the batch engine's vectorised
+2-4x faster than ``array.array``/NumPy scalars, and the scalar code
+paths touch these columns on every access, while the batch engine's vectorised
 probe snapshots a whole column with a single C call
 (``numpy.array(cache.tags)``) once per chunk — see
 :mod:`repro.sim.batch`.  Replacement policies outside the two inline

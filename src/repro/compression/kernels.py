@@ -16,9 +16,7 @@ argument of Pekhimenko et al. — this module recomputes them in bulk:
   distinct addresses of a trace's v3 columnar address array, so the
   per-address size memo can be primed in one pass at load time.
 
-NumPy is an optional dependency: every consumer checks
-:func:`available` and degrades to the scalar path without it.  The
-kernels are *size* kernels only — they never build payloads, so
+The kernels are *size* kernels only — they never build payloads, so
 decompression still goes through the scalar codecs.
 """
 
@@ -26,10 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-try:  # NumPy is optional; consumers degrade to the scalar codecs without it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 #: Line size the kernels are specialised for (the paper's 64B lines).
 LINE_BYTES = 64
@@ -47,11 +42,6 @@ _BDI_ENCODING_SIZES: tuple[tuple[int, int, int], ...] = (
     (4, 2, 38),
     (2, 1, 38),
 )
-
-
-def available() -> bool:
-    """True when the vectorised kernels can run in this interpreter."""
-    return np is not None
 
 
 def lines_matrix(lines: Iterable[bytes]) -> "np.ndarray":

@@ -27,13 +27,11 @@ def _size_histograms(lines: tuple[bytes, ...]) -> tuple[tuple[str, tuple[tuple[i
     Codecs with a vectorised size kernel (BDI/FPC/C-Pack) reconstruct
     their histogram from one kernel pass; SC2 (which trains on the line
     set) and the zero codec stay scalar.  Kernel and scalar sizes are
-    byte-identical (tests/compression/test_kernels.py), so the published
-    observations never depend on NumPy's presence.
+    byte-identical (tests/compression/test_kernels.py).
     """
-    vectorised = kernels.available()
     out = []
     for name in sorted(ALGORITHMS):
-        kernel = kernels.SIZE_KERNELS.get(name) if vectorised else None
+        kernel = kernels.SIZE_KERNELS.get(name)
         if kernel is not None:
             out.append((name, kernels.size_histogram(kernel, lines)))
             continue

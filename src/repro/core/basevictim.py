@@ -135,12 +135,6 @@ class BaseVictimLLC(LLCArchitecture):
         #: exactly ECMVictimPolicy lets _insert_victim pick the slot in a
         #: single scan without building a candidate list.
         self._ecm_inline = type(victim_policy) is ECMVictimPolicy
-        #: The paper's default configuration (NRU baseline policy, ECM
-        #: victim insertion, clean victims) runs the whole miss/promotion
-        #: path through one fused body in access() — no _miss/
-        #: _fill_baseline/_insert_victim dispatch.  Any other
-        #: configuration takes the general methods below.
-        self._fast = self._nru_inline and self._ecm_inline and clean_victims
         #: Victim Cache resident-line count, maintained incrementally so
         #: the occupancy samples taken by the simulation drivers are O(1)
         #: instead of a sum over every set.
@@ -205,200 +199,15 @@ class BaseVictimLLC(LLCArchitecture):
                 result.data_reads = 1
                 size = cset.base_size[base_way]
                 result.compressed_hit = 0 < size < spl
-            elif self._fast and kind != _PREFETCH:
-                # Inlined _base_hit WRITE/WRITEBACK path (NRU on_hit is
-                # the referenced bit): the line's data and size change.
-                result.hit = True
-                self.stat_base_hits += 1
-                cset.policy_state.referenced[base_way] = True
-                cset.base_dirty[base_way] = True
-                cset.base_size[base_way] = size_segments
-                result.data_writes = 1
-                result.fill_segments = size_segments
-                if (
-                    cset.vict_valid[base_way]
-                    and size_segments + cset.vict_size[base_way] > spl
-                ):
-                    # Section IV.B.5: the grown line no longer shares.
-                    self.stat_partner_evictions += 1
-                    self._evict_victim(cset, base_way, result)
             else:
                 self._base_hit(cset, base_way, kind, size_segments, result)
             return result
 
         vict_way = cset.vict_lookup.get(addr)
-        if not self._fast:
-            if vict_way is not None:
-                self._victim_hit(cset, vict_way, addr, kind, size_segments, result)
-                return result
-            self._miss(cset, addr, kind, size_segments, result)
-            return result
-
-        # ---- fused fast lane (NRU + ECM + clean victims): the victim
-        # hit, miss, baseline fill, partner eviction and victim insertion
-        # paths of the methods below, inlined into one body.  State and
-        # counter updates land in the same order with the same values as
-        # the methods; the base-victim differential tests and the engine
-        # fuzz oracle prove it.
         if vict_way is not None:
-            # _victim_hit, inlined.
-            result.hit = True
-            result.victim_hit = True
-            self.stat_victim_hits += 1
-            if kind == _PREFETCH:
-                return result  # leave the line where it is
-            stored_size = cset.vict_size[vict_way]
-            result.compressed_hit = 0 < stored_size < spl
-            result.data_reads = 1  # read the victim line out of the array
-            is_write = kind == _WRITE or kind == _WRITEBACK
-            if is_write:
-                self.stat_victim_write_hits += 1
-                fill_size = size_segments
-            else:
-                fill_size = stored_size
-            # De-allocate from the Victim Cache (victims are clean here).
-            stored_dirty = cset.vict_dirty[vict_way]
-            del cset.vict_lookup[addr]
-            self._victim_resident -= 1
-            cset.vict_valid[vict_way] = False
-            cset.vict_dirty[vict_way] = False
-            fill_dirty = is_write or stored_dirty
-            promotion = True
+            self._victim_hit(cset, vict_way, addr, kind, size_segments, result)
         else:
-            # _miss, inlined.
-            if kind == _WRITEBACK:
-                # A writeback to a non-resident line bypasses to memory.
-                self.stat_writeback_misses += 1
-                result.memory_writes = 1
-                return result
-            self.stat_misses += 1
-            result.memory_reads = 1
-            fill_size = size_segments
-            fill_dirty = kind == _WRITE
-            promotion = False
-
-        # _fill_baseline, inlined: free way first, then the NRU victim —
-        # exactly the uncompressed fill — then the compression steps.
-        base_lookup = cset.base_lookup
-        base_valid = cset.base_valid
-        base_tags = cset.base_tags
-        base_dirty = cset.base_dirty
-        base_size = cset.base_size
-        vict_valid = cset.vict_valid
-        state = cset.policy_state
-        referenced = state.referenced
-        have_replaced = False
-        replaced_addr = 0
-        replaced_size = 0
-        if cset.base_valid_count < len(base_valid):
-            way = base_valid.index(False)
-            cset.base_valid_count += 1
-        else:
-            # Inlined NRUPolicy.choose_victim (rotating hand scan).
-            hand = state.hand
-            ways = len(referenced)
-            try:
-                way = referenced.index(False, hand)
-            except ValueError:
-                try:
-                    way = referenced.index(False, 0, hand)
-                except ValueError:
-                    for w in range(ways):
-                        referenced[w] = False
-                    way = hand
-            state.hand = way + 1 if way + 1 < ways else 0
-            replaced_addr = base_tags[way]
-            was_dirty = base_dirty[way]
-            if was_dirty:
-                # Write back so the demoted line is clean (Section IV.A).
-                result.memory_writes += 1
-            # The line leaves the baseline image: inclusive upper levels
-            # must drop it whether it is demoted or evicted.
-            result.invalidates.append((replaced_addr, was_dirty))
-            replaced_size = base_size[way]
-            have_replaced = True
-            del base_lookup[replaced_addr]
-        base_tags[way] = addr
-        base_valid[way] = True
-        base_dirty[way] = fill_dirty
-        base_size[way] = fill_size
-        base_lookup[addr] = way
-        referenced[way] = True
-        if vict_valid[way] and fill_size + cset.vict_size[way] > spl:
-            # Section IV.B.5: the fill no longer shares the physical way.
-            self.stat_partner_evictions += 1
-            # _evict_victim, inlined (clean victims evict silently).
-            del cset.vict_lookup[cset.vict_tags[way]]
-            self._victim_resident -= 1
-            vict_valid[way] = False
-            if cset.vict_dirty[way]:
-                cset.vict_dirty[way] = False
-                result.memory_writes += 1
-            else:
-                result.silent_evictions += 1
-                self.stat_silent_evictions += 1
-
-        if have_replaced:
-            # _insert_victim, inlined (the replaced line is clean here):
-            # the ECM scan over the parallel columns — prefer free victim
-            # slots, then the largest base partner, lowest way on ties.
-            room = spl - replaced_size
-            way_v = -1
-            free_way = -1
-            free_size = -1
-            occ_size = -1
-            w = 0
-            for bvalid, bsize, vvalid in zip(base_valid, base_size, vict_valid):
-                if not bvalid:
-                    bsize = 0
-                if bsize <= room:
-                    if vvalid:
-                        if bsize > occ_size:
-                            occ_size = bsize
-                            way_v = w
-                    elif bsize > free_size:
-                        free_size = bsize
-                        free_way = w
-                w += 1
-            if free_way >= 0:
-                way_v = free_way
-            if way_v < 0:
-                self.stat_demotion_drops += 1
-            else:
-                victim_policy = self.victim_policy
-                victim_policy.stat_choices += 1
-                if vict_valid[way_v]:
-                    victim_policy.stat_replacements += 1
-                    # _evict_victim, inlined again for the replaced slot.
-                    del cset.vict_lookup[cset.vict_tags[way_v]]
-                    self._victim_resident -= 1
-                    vict_valid[way_v] = False
-                    if cset.vict_dirty[way_v]:
-                        cset.vict_dirty[way_v] = False
-                        result.memory_writes += 1
-                    else:
-                        result.silent_evictions += 1
-                        self.stat_silent_evictions += 1
-                cset.vict_tags[way_v] = replaced_addr
-                vict_valid[way_v] = True
-                cset.vict_dirty[way_v] = False
-                cset.vict_size[way_v] = replaced_size
-                cset.clock += 1
-                cset.vict_stamp[way_v] = cset.clock
-                cset.vict_lookup[replaced_addr] = way_v
-                self._victim_resident += 1
-                self.stat_demotions += 1
-                # Migration: read out of the base way, write into here.
-                result.data_reads += 1
-                result.data_writes += 1
-                result.fill_segments += replaced_size
-
-        result.data_writes += 1  # write the filled/promoted line
-        result.fill_segments += fill_size
-        if promotion:
-            self.stat_promotions += 1
-        elif kind != _PREFETCH:
-            result.data_reads += 1  # deliver the line to the core
+            self._miss(cset, addr, kind, size_segments, result)
         return result
 
     # ------------------------------------------------------------------
@@ -691,14 +500,6 @@ class BaseVictimLLC(LLCArchitecture):
     def _needs_decompression(self, size_segments: int) -> bool:
         """Zero and uncompressed blocks skip decompression (Section V)."""
         return 0 < size_segments < self.segments_per_line
-
-    @staticmethod
-    def _free_base_way(cset: _BVSet) -> int | None:
-        valid = cset.base_valid
-        for way in range(len(valid)):
-            if not valid[way]:
-                return way
-        return None
 
     # ------------------------------------------------------------------
     # Introspection

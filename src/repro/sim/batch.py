@@ -35,11 +35,10 @@ inlined: L2 probe, prefetcher training, size-memo lookup, the LLC access
 with its stats merge, DRAM accounting, back-invalidations, and the
 L2/L1 fills — all over locals hoisted once per run, with every
 hierarchy/cache counter batched in local ints and flushed once after
-the loop (the same pattern the scalar fast loop applies to the L1 hit
-path, lifted across the whole miss path).  Inlined state updates land
-in the same order with the same values as the hierarchy's own methods;
-`tests/sim/test_engine_equivalence.py` and the differential fuzz oracle
-prove it.
+the loop.  Inlined state updates land in the same order with the same
+values as the hierarchy's and LLC's own methods, which the traced
+reference engine runs; `tests/sim/test_engine_equivalence.py` and the
+differential fuzz oracle prove it.
 
 The vector apply reproduces the scalar loop bit-for-bit:
 
@@ -59,23 +58,17 @@ The vector apply reproduces the scalar loop bit-for-bit:
 Byte-identity against the traced reference loop — results and
 serialised observations — is enforced by the differential fuzz oracle
 in ``tests/sim/test_batch_equivalence.py``.
-
-NumPy is an optional dependency here: without it (or with a non-LRU
-L1) ``simulate_trace`` degrades to the scalar fast engine.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.cache.hierarchy import _decompression_cycles
 from repro.cache.prefetch import _PAGE_LINES, _PAGE_MASK, _PAGE_SHIFT
 from repro.core.basevictim import BaseVictimLLC
 from repro.core.interfaces import AccessKind
 from repro.core.uncompressed import UncompressedLLC
-
-try:  # NumPy is optional; the engine reports itself unavailable without it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    np = None  # type: ignore[assignment]
 
 # AccessKind members as plain ints (see repro.cache.hierarchy).
 _READ = int(AccessKind.READ)
@@ -113,8 +106,8 @@ BURST = 512
 
 
 def available() -> bool:
-    """True when the batch engine can run in this interpreter."""
-    return np is not None
+    """True: NumPy is a declared dependency, so the engine always runs."""
+    return True
 
 
 def run_batch_loop(
@@ -132,9 +125,9 @@ def run_batch_loop(
 ) -> None:
     """Run one trace through the hierarchy with resumable vector probes.
 
-    Mutates ``hierarchy``/``core``/``occupancy`` exactly like the scalar
-    fast loop in :func:`repro.sim.single_core.simulate_trace`, including
-    the post-loop flush of locally batched counters.  ``next_sample`` is
+    Mutates ``hierarchy``/``core``/``occupancy`` exactly like the traced
+    reference loop in :func:`repro.sim.single_core.simulate_trace`, with
+    locally batched counters flushed after the loop.  ``next_sample`` is
     ``-1`` when the LLC has no victim cache to sample.
     """
     if chunk_size is None:
@@ -183,8 +176,8 @@ def run_batch_loop(
     # hoisted columns: ``unc`` selects the full inline of the
     # uncompressed-NRU LLC (demand, writeback, prefetch and hint
     # sites); ``bv`` selects the inlined contains/hint_downgrade of the
-    # Base-Victim LLC, whose access() is already a fused fast lane of
-    # its own.  Any other flavor takes the plain method calls.
+    # Base-Victim LLC, and ``bv_fast`` its inlined demand path.  Any
+    # other flavor takes the plain method calls.
     unc = None
     bv = None
     if isinstance(llc, UncompressedLLC) and llc._cache._nru_inline:
@@ -203,10 +196,11 @@ def run_batch_loop(
         bv_mask = llc._set_mask
         bv_spl = llc.segments_per_line
         bv_vp = llc.victim_policy
-        # The demand-read inline below replicates the fused fast lane of
-        # BaseVictimLLC.access, so it is gated on the same invariants
-        # (NRU + ECM + clean victims); other configs keep the method.
-        bv_fast = llc._fast
+        # The demand inline below replicates BaseVictimLLC's victim-hit,
+        # miss, baseline-fill and victim-insert methods for the paper's
+        # default configuration (NRU + ECM + clean victims); other
+        # configs keep the method.
+        bv_fast = llc._ecm_inline and llc.clean_victims
     else:
         bv_fast = False
     extra_tag_cycles = llc.extra_tag_cycles
@@ -233,7 +227,7 @@ def run_batch_loop(
     samples: list[int] = []
 
     # Hierarchy/cache counters batched in locals, flushed once after the
-    # loop — the fast loop's L1-hit pattern, lifted across the miss path.
+    # loop, across the L1-hit and miss paths alike.
     l2_hits_c = 0
     llc_hits_c = 0
     llc_victim_hits_c = 0
@@ -635,11 +629,12 @@ def run_batch_loop(
                                 u_ref[uslot] = True
                         elif bv_fast:
                             # BaseVictimLLC.access(addr, READ, size) —
-                            # the fused fast lane of basevictim.py,
-                            # re-inlined for the demand read together
-                            # with its stats merge, DRAM accounting and
-                            # back-invalidation.  Same order, same
-                            # values; the fuzz oracle proves it.
+                            # the hit, miss, fill and victim-insert
+                            # methods of basevictim.py, inlined for the
+                            # demand read together with its stats merge,
+                            # DRAM accounting and back-invalidation.
+                            # Same order, same values; the fuzz oracle
+                            # proves it.
                             size = memo_get(addr)
                             if size is None:
                                 size = size_fn(addr)
@@ -1047,7 +1042,7 @@ def run_batch_loop(
                                     # BaseVictimLLC WRITEBACK: the two
                                     # dominant outcomes (in-place base
                                     # hit, non-resident bypass) inlined
-                                    # from the fused fast lane; the rare
+                                    # from _base_hit and _miss; the rare
                                     # victim-hit promotion keeps the
                                     # method call.
                                     size_v = memo_get(victim2)
@@ -1331,7 +1326,7 @@ def run_batch_loop(
                                 continue
                             if bv_fast:
                                 # PREFETCH to a non-resident line: the
-                                # fused fast lane's miss + fill path,
+                                # _miss + _fill_baseline path,
                                 # inlined (the residency check above
                                 # rules out both hit paths).
                                 size_p = memo_get(target)
@@ -1570,8 +1565,8 @@ def run_batch_loop(
     finally:
         hierarchy._l1_log = prev_log
 
-    # Flush the locally batched state, exactly like the fast loop — but
-    # across every counter the miss path touches, not just the L1's.
+    # Flush the locally batched state: every counter the L1-hit and miss
+    # paths touch.
     core.cycles = cycles
     core.instructions = instructions
     core.stall_cycles = stall_cycles

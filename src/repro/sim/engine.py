@@ -1,30 +1,24 @@
 """Simulation engine selection.
 
-``simulate_trace`` carries three equivalent inner loops (engines):
+``simulate_trace`` carries two equivalent inner loops (engines):
 
+``batch``
+    The default chunked engine (:mod:`repro.sim.batch`): one vectorised
+    probe against an L1 snapshot resolves the leading run of hits with
+    NumPy, then an inlined scalar miss body handles the miss tail.
 ``traced``
     The reference loop — one ``hierarchy.access`` per demand access,
     per-access counter updates, one tracer record per access.  Always
     used when a tracer is active.
-``fast``
-    PR 3's profile-guided scalar loop: the L1 hit path inlined to a
-    dict lookup plus the LRU touch, counters batched in locals.
-``batch``
-    PR 6's chunked engine (:mod:`repro.sim.batch`): one vectorised
-    probe against an L1 snapshot per chunk resolves the leading run of
-    hits with NumPy, then the scalar fast path handles the miss tail.
 
-All three are proven byte-identical — results *and* serialised
-observations — by ``tests/sim/test_engine_equivalence.py`` and the
-differential fuzz oracle in ``tests/sim/test_batch_equivalence.py``.
+Both are proven byte-identical — results *and* serialised observations
+— by ``tests/sim/test_engine_equivalence.py`` and the differential fuzz
+oracle in ``tests/sim/test_batch_equivalence.py``.
 
 Selection order: explicit argument > ``$REPRO_ENGINE`` > ``batch``.
 The CLI's ``--engine`` writes the environment variable so parallel
 sweep workers (fork or spawn, see :mod:`repro.sim.parallel`) inherit
-the choice.  An engine that cannot run in the current configuration
-degrades silently (batch -> fast without NumPy or a non-LRU L1;
-fast -> traced with a non-LRU L1): the engines are interchangeable by
-construction, so degradation affects speed only, never results.
+the choice.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ import os
 ENGINE_ENV = "REPRO_ENGINE"
 
 #: Valid engine names, fastest first.
-ENGINES = ("batch", "fast", "traced")
+ENGINES = ("batch", "traced")
 
 DEFAULT_ENGINE = "batch"
 

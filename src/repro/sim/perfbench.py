@@ -160,15 +160,6 @@ def aggregate_rate(payload: dict) -> float:
     return float(payload["aggregate"]["accesses_per_sec"])
 
 
-def payload_engine(payload: dict) -> str:
-    """Engine a measurement payload was taken with.
-
-    Payloads written before the engine field existed were all measured
-    with the scalar fast loop, so a missing key reads as ``"fast"``.
-    """
-    return payload.get("engine", "fast")
-
-
 def check_regression(
     current: dict,
     baseline: dict,
@@ -193,8 +184,8 @@ def check_regression(
             )
     if problems:
         return problems
-    current_engine = payload_engine(current)
-    baseline_engine = payload_engine(baseline)
+    current_engine = current["engine"]
+    baseline_engine = baseline["engine"]
     if current_engine != baseline_engine:
         problems.append(
             f"engine mismatch: measurement used {current_engine!r} but the "
@@ -255,7 +246,7 @@ def format_report(payload: dict) -> str:
     lines = [
         f"preset: {payload['preset']}   trace length: {payload['trace_length']}"
         f"   repeats: {payload['repeats']}   jobs: {payload['jobs']}"
-        f"   engine: {payload_engine(payload)}",
+        f"   engine: {payload['engine']}",
         f"{'machine':40s} {'trace':12s} {'acc/sec':>12s} {'seconds':>9s}",
     ]
     for entry in payload["entries"]:

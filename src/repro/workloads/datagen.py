@@ -139,11 +139,11 @@ def build_palette(
 
     ``comp_class`` "mixed" draws from both the friendly and poor mixes.
     """
-    # With the default (BDI) compressor and NumPy present, sizes for the
-    # whole palette come from one vectorised kernel pass instead of one
-    # scalar compress() per line; byte-identity with the scalar codec is
-    # enforced by tests/compression/test_kernels.py.
-    vectorised = compressor is None and kernels.available()
+    # With the default (BDI) compressor, sizes for the whole palette come
+    # from one vectorised kernel pass instead of one scalar compress()
+    # per line; byte-identity with the scalar codec is enforced by
+    # tests/compression/test_kernels.py.
+    vectorised = compressor is None
     compressor = compressor or BDICompressor()
     rng = DeterministicRandom(seed ^ 0xDA7A)
     classes = ["friendly", "poor"] if comp_class == "mixed" else [comp_class]
@@ -279,11 +279,7 @@ class LineDataModel:
 
         Pure function of (trace addresses, seed, palette): both dicts are
         shareable across runs — :meth:`adopt_size_tables` installs them.
-        Returns empty dicts when NumPy is unavailable (the scalar path
-        then populates the memo lazily through ``size_of``).
         """
-        if not kernels.available():
-            return {}, {}
         unique, bases = kernels.ring_bases(addrs, self._seed, _RING_SIZE)
         ring = self._ring
         sizes = [ring[base] for base in bases.tolist()]
@@ -313,9 +309,9 @@ class LineDataModel:
     def prime_size_memo(self, addrs) -> None:
         """Vectorise the size memo for every distinct address in ``addrs``.
 
-        Call before replaying the trace (sizes are version-0).  No-op
-        without NumPy, and never changes any ``size_of`` value — only
-        how fast the hierarchy can look it up.
+        Call before replaying the trace (sizes are version-0).  Never
+        changes any ``size_of`` value — only how fast the hierarchy can
+        look it up.
         """
         if self.size_memo:
             return  # already primed (e.g. adopted from the trace cache)

@@ -12,9 +12,8 @@ import array
 import random
 import struct
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.compression import kernels, make_compressor
 from repro.workloads.datagen import _RING_SIZE, _mix

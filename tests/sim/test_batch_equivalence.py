@@ -25,15 +25,10 @@ from array import array
 import pytest
 
 from repro.obs.tracing import TRACE_ENV, TRACE_FILE_ENV, TRACE_LIMIT_ENV
-from repro.sim import batch
 from repro.sim.config import TEST, MachineConfig
 from repro.sim.single_core import simulate_trace
 from repro.workloads.datagen import LineDataModel, build_palette
 from repro.workloads.trace import LOAD, STORE, Trace, TraceMeta
-
-pytestmark = pytest.mark.skipif(
-    not batch.available(), reason="batch engine needs numpy"
-)
 
 #: Policies the oracle sweeps the LLC over (the L1/L2 stay LRU — that is
 #: what the batch engine vectorises; the LLC policy shapes the miss tail

@@ -1,13 +1,14 @@
-"""Differential tests: the fast inner loop vs the traced reference loop.
+"""Differential tests: the default (batch) engine vs the traced reference.
 
 ``simulate_trace`` carries two equivalent inner loops (see
-``repro.sim.single_core``): the traced reference loop — one
-``hierarchy.access`` per demand access, per-access counter updates — and
-the profile-guided fast loop with the L1 hit path inlined and counters
-batched in locals.  A tracer forces the reference loop, so running the
-same (trace, machine) pair with and without one is a direct differential
-test of the optimization: every ``RunResult`` field and every serialised
-observation must be byte-identical.
+``repro.sim.engine``): the traced reference loop — one
+``hierarchy.access`` per demand access, per-access counter updates,
+the LLC's own methods — and the default batch engine, which vectorises
+L1 hit runs and inlines the miss path with counters batched in locals.
+A tracer forces the reference loop, so running the same (trace,
+machine) pair with and without one is a direct differential test of the
+optimization: every ``RunResult`` field and every serialised observation
+must be byte-identical.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ def run_once(machine, trace_name, tracer=None):
     return simulate_trace(trace, data, machine, TEST, tracer=tracer)
 
 
-class TestTracedVsFastLoop:
+class TestDefaultVsTracedLoop:
     @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.label)
     @pytest.mark.parametrize("trace_name", TRACES)
     def test_results_and_observations_byte_identical(self, machine, trace_name):
-        fast = run_once(machine, trace_name)
+        default = run_once(machine, trace_name)
         traced = run_once(machine, trace_name, tracer=TraceRecorder(limit=64))
-        assert json.dumps(fast.to_dict(), sort_keys=True) == json.dumps(
+        assert json.dumps(default.to_dict(), sort_keys=True) == json.dumps(
             traced.to_dict(), sort_keys=True
         )
 
@@ -54,15 +55,15 @@ class TestTracedVsFastLoop:
         assert set(access_event) == {"i", "addr", "write", "level"}
 
     def test_occupancy_samples_identical_across_loops(self):
-        """The fast loop batches occupancy samples; the histogram must not
-        notice (this is the counter-flush batching the tracer bypasses)."""
-        fast = run_once(BASE_VICTIM_2MB, "mcf.1")
+        """The batch engine batches occupancy samples; the histogram must
+        not notice (this is the counter-flush batching the tracer bypasses)."""
+        default = run_once(BASE_VICTIM_2MB, "mcf.1")
         traced = run_once(
             BASE_VICTIM_2MB, "mcf.1", tracer=TraceRecorder(limit=8)
         )
         key = "llc/victim_occupancy"
-        assert fast.obs[key] == traced.obs[key]
-        assert sum(fast.obs[key]["buckets"].values()) > 0
+        assert default.obs[key] == traced.obs[key]
+        assert sum(default.obs[key]["buckets"].values()) > 0
 
 
 class TestReproTraceEnvEquivalence:

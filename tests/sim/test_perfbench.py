@@ -14,7 +14,6 @@ from repro.sim.perfbench import (
     check_regression,
     load_baseline,
     measure_matrix,
-    payload_engine,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -24,20 +23,18 @@ BASELINE_PATH = REPO_ROOT / "BENCH_PERF.json"
 def _payload(
     rate: float,
     cells: dict[tuple[str, str], float] | None = None,
-    engine: str | None = None,
+    engine: str = "batch",
 ) -> dict:
     entries = [
         {"machine": machine, "trace": trace, "accesses_per_sec": cell_rate}
         for (machine, trace), cell_rate in (cells or {}).items()
     ]
-    payload = {
+    return {
         "schema": SCHEMA_VERSION,
         "entries": entries,
         "aggregate": {"accesses_per_sec": rate},
+        "engine": engine,
     }
-    if engine is not None:
-        payload["engine"] = engine
-    return payload
 
 
 class TestMeasureMatrix:
@@ -58,10 +55,9 @@ class TestMeasureMatrix:
 
     def test_engine_recorded_in_payload(self):
         payload = measure_matrix(
-            TEST, trace_names=("sjeng.1",), repeats=1, engine="fast"
+            TEST, trace_names=("sjeng.1",), repeats=1, engine="traced"
         )
-        assert payload["engine"] == "fast"
-        assert payload_engine(payload) == "fast"
+        assert payload["engine"] == "traced"
 
     def test_unknown_engine_rejected_before_measuring(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -88,19 +84,11 @@ class TestCheckRegression:
         measured with different engines are never rate-compared, even
         when the measurement is faster than the baseline."""
         problems = check_regression(
-            _payload(250.0, engine="batch"), _payload(100.0, engine="fast"), 0.30
+            _payload(250.0, engine="batch"), _payload(100.0, engine="traced"), 0.30
         )
         assert len(problems) == 1
         assert "engine mismatch" in problems[0]
-        assert "'batch'" in problems[0] and "'fast'" in problems[0]
-
-    def test_pre_engine_baseline_reads_as_fast(self):
-        """Payloads written before the engine field existed were all
-        measured with the scalar fast loop."""
-        assert payload_engine(_payload(1.0)) == "fast"
-        assert check_regression(_payload(100.0, engine="fast"), _payload(100.0)) == []
-        problems = check_regression(_payload(100.0, engine="batch"), _payload(100.0))
-        assert problems and "engine mismatch" in problems[0]
+        assert "'batch'" in problems[0] and "'traced'" in problems[0]
 
 
 class TestCommittedBaseline:
@@ -123,8 +111,8 @@ class TestCommittedBaseline:
         data = json.loads(BASELINE_PATH.read_text())
         for section in ("bench", "test-ci"):
             matrix = data["matrices"][section]
-            assert payload_engine(matrix["before"]) == "batch"
-            assert payload_engine(matrix["after"]) == "batch"
+            assert matrix["before"]["engine"] == "batch"
+            assert matrix["after"]["engine"] == "batch"
             assert not matrix["before"].get("profiled")
             assert not matrix["after"].get("profiled")
 

@@ -331,6 +331,24 @@ class TestCommands:
         assert "engine: traced" in capsys.readouterr().out
         assert os.environ["REPRO_ENGINE"] == "traced"
 
+    def test_retired_fast_engine_fails_cells_cleanly(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """The scalar ``fast`` engine is gone: $REPRO_ENGINE=fast fails
+        every cell with the unknown-engine error, and the sweep reports
+        them as failed cells with an error exit rather than a traceback."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_ENGINE", "fast")
+        assert main(
+            ["sweep", "--preset", "test", "--trace", "sjeng.1", "--jobs", "1"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "failed: 2 cells" in captured.out
+        assert (
+            "unknown engine 'fast'; expected one of batch, traced" in captured.err
+        )
+        assert "Traceback" not in captured.out + captured.err
+
     def test_sweep_resume_reports_salvage(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(
