@@ -9,12 +9,12 @@ Exposes the paper's experiments and some exploration helpers::
     repro stats --trace mcf.1 --trace lbm.1 [--json] [--trace-events]
     repro area
     repro export --csv fig8.csv
-    repro sweep [--resume] [--strict] [--retries 2] [--job-timeout 60]
+    repro sweep [--strict] [--retries 2] [--job-timeout 60]
     repro serve [--preset test] [--socket PATH | --tcp HOST:PORT] [--jobs 4]
     repro submit --trace mcf.1 [--sweep] [--wait] [--json]
     repro serve-status [--json]
     repro dispatch [--workers 3 | --worker tcp:HOST:PORT ...] [--strict]
-                   [--resume] [--redispatch N] [--fold-every N]
+                   [--redispatch N] [--fold-every N]
     repro perf [--repeats 3] [--output BENCH_PERF.json]
     repro cache verify [--strict] [--cache-dir DIR]
     repro cache migrate [--cache-dir DIR]
@@ -22,7 +22,9 @@ Exposes the paper's experiments and some exploration helpers::
     repro trace migrate FILE [FILE ...]
 
 The figure/table benches proper live in ``benchmarks/`` and run through
-pytest; the CLI is the quick interactive front end.
+pytest; the CLI is the quick interactive front end.  A killed ``sweep``
+or ``dispatch`` resumes by re-running the same command: opening the
+result cache salvages whatever the killed run had finished.
 """
 
 from __future__ import annotations
@@ -168,8 +170,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Observability counters for one or more traces on one machine."""
+    from repro.dist.stats import load_dist_stats
     from repro.obs.registry import CounterRegistry, merge_observations
     from repro.obs.tracing import TraceRecorder
+    from repro.serve.stats import load_serve_stats
     from repro.sim.report import observability_summary
     from repro.sim.single_core import simulate_trace
     from repro.workloads.tracecache import process_cache
@@ -206,6 +210,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     with registry.timer("phase/report"):
         merged = merge_observations([run.obs for run in results])
+        # Post-mortem snapshots the server and the last dispatch left in
+        # the cache directory, keyed by their counter prefix.
+        snapshots = {
+            prefix: snapshot
+            for prefix, snapshot in (
+                ("serve", load_serve_stats(default_cache_dir())),
+                ("dist", load_dist_stats(default_cache_dir())),
+            )
+            if snapshot is not None
+        }
         if args.json:
             payload = {
                 "preset": args.preset,
@@ -236,12 +250,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                     for key, value in trace_cache.items()
                 },
             }
-            serve_stats = _serve_stats_snapshot()
-            if serve_stats is not None:
-                payload["serve"] = serve_stats
-            dist_stats = _dist_stats_snapshot()
-            if dist_stats is not None:
-                payload["dist"] = dist_stats
+            payload.update(snapshots)
             print(json.dumps(payload, indent=2, sort_keys=True))
             return 0
         print(f"machine: {machine.label}")
@@ -256,20 +265,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 print(f"cache {label}: {metric['value']}")
         for key in ("hits", "misses", "evictions"):
             print(f"trace cache {key}: {trace_cache[key]}")
-        serve_stats = _serve_stats_snapshot()
-        if serve_stats is not None:
-            for name in sorted(serve_stats.get("counters", {})):
-                metric = serve_stats["counters"][name]
-                if name.startswith("serve/") and metric.get("kind") == "counter":
-                    label = name.removeprefix("serve/").replace("_", " ")
-                    print(f"serve {label}: {metric['value']}")
-        dist_stats = _dist_stats_snapshot()
-        if dist_stats is not None:
-            for name in sorted(dist_stats.get("counters", {})):
-                metric = dist_stats["counters"][name]
-                if name.startswith("dist/") and metric.get("kind") == "counter":
-                    label = name.removeprefix("dist/").replace("_", " ")
-                    print(f"dist {label}: {metric['value']}")
+        for prefix, snapshot in snapshots.items():
+            for name in sorted(snapshot.get("counters", {})):
+                metric = snapshot["counters"][name]
+                if name.startswith(f"{prefix}/") and metric.get("kind") == "counter":
+                    label = name.removeprefix(f"{prefix}/").replace("_", " ")
+                    print(f"{prefix} {label}: {metric['value']}")
         print("wall time by phase:")
     for name, seconds in registry.timers.items():
         print(f"  {name:16s} {seconds:8.3f}s")
@@ -313,14 +314,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     graceful-degradation mode: transient worker failures retry, crashed
     workers are recovered, and cells that exhaust their retries are
     reported as a failed-cell table instead of aborting the sweep.
-    ``--resume`` additionally salvages shard files left by a killed
-    sweep and reports exactly which cells were recovered vs recomputed;
+    Re-running a killed sweep resumes it: opening the cache salvages
+    the cells the killed run finished, and the report counts them.
     ``--strict`` turns any failed cell into a nonzero exit.
     """
     from repro.sim.report import failed_cells_table, sweep_health_summary
 
     runner = _runner_from_args(args, strict=False)
-    salvaged = runner.resume_orphan_shards() if args.resume else []
+    salvaged = runner.registry.as_dict().get("cache/salvaged_cells", {})
     if args.traces:
         names = args.traces
     else:
@@ -328,16 +329,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         names = [spec.name for spec in specs]
     machines = [BASELINE_2MB, BASE_VICTIM_2MB]
     cells = [(machine, name) for machine in machines for name in names]
-    cached = [
-        f"{machine.label}|{name}"
-        for machine, name in cells
-        if runner.has_cached(machine, name)
-    ]
-    recomputed = [
-        f"{machine.label}|{name}"
-        for machine, name in cells
-        if not runner.has_cached(machine, name)
-    ]
+    cached = sum(runner.has_cached(machine, name) for machine, name in cells)
     simulated = runner.prewarm(cells)
     failures = runner.failed_cells
 
@@ -345,15 +337,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"sweep: {len(cells)} cells ({len(names)} traces x "
         f"{len(machines)} machines), preset={args.preset}, jobs={runner.jobs}"
     )
-    print(f"  recovered from cache: {len(cached)} cells")
-    if args.resume:
-        print(f"    salvaged from orphan shards: {len(salvaged)} cells")
-        for key in salvaged:
-            print(f"      salvaged   {key}")
+    print(f"  recovered from cache: {cached} cells")
+    print(f"    salvaged from killed runs: {salvaged.get('value', 0)} cells")
     print(f"  recomputed: {simulated} cells")
-    if args.resume:
-        for cell in recomputed:
-            print(f"      recomputed {cell}")
     print(f"  failed: {len(failures)} cells")
     print(
         "  "
@@ -367,20 +353,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.strict:
             return 1
     return 0
-
-
-def _serve_stats_snapshot() -> dict | None:
-    """The last server's ``serve-stats.json`` snapshot, if one exists."""
-    from repro.serve.stats import load_serve_stats
-
-    return load_serve_stats(default_cache_dir())
-
-
-def _dist_stats_snapshot() -> dict | None:
-    """The last dispatch's ``dist-stats.json`` snapshot, if one exists."""
-    from repro.dist.stats import load_dist_stats
-
-    return load_dist_stats(default_cache_dir())
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -550,14 +522,13 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
     path (typically an ``ssh -L`` forward from a remote host).  The
     final cache file is byte-identical to a canonicalized serial
     ``repro sweep`` of the same matrix — worker losses, reassignments
-    and duplicate completions included.  ``--resume`` salvages the
-    staged results of a coordinator that was killed mid-dispatch (the
-    write-ahead journal says which cells those are) and re-leases only
-    the remainder; ``--redispatch N`` re-runs resolution up to N extra
-    rounds until the matrix saturates.  Exit codes: 0 dispatched (and,
-    without ``--strict``, even with failed jobs — they are reported
-    structurally, like a sweep), 1 failed jobs under ``--strict``,
-    2 configuration or worker-startup errors.
+    and duplicate completions included.  Re-running a dispatch whose
+    coordinator was killed salvages the staged results it left and
+    re-leases only the remainder; ``--redispatch N`` re-runs resolution
+    up to N extra rounds until the matrix saturates.  Exit codes: 0
+    dispatched (and, without ``--strict``, even with failed jobs — they
+    are reported structurally, like a sweep), 1 failed jobs under
+    ``--strict``, 2 configuration or worker-startup errors.
     """
     import time as timelib
 
@@ -604,9 +575,6 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
                 fold_every=args.fold_every,
                 heartbeat_interval=args.heartbeat,
                 heartbeat_deadline=args.heartbeat_deadline,
-                # Every redispatch round after the first is a resume of
-                # this command's own journal.
-                resume=args.resume or round_index > 0,
                 carry_counters=carry,
             )
         except DispatchError as exc:
@@ -694,18 +662,21 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
 
 
 def _carry_dist_counters(counters: dict) -> dict[str, int]:
-    """History ``dist/*`` counters one redispatch round hands the next.
+    """History counters one redispatch round hands the next.
 
     Matrix-resolution counters (totals, cached, dispatched) are
-    per-round by design and excluded; everything else accumulates so
-    the final stats snapshot covers the whole saturation loop.
+    per-round by design and excluded; every other ``dist/*`` counter and
+    the open-time salvage counters accumulate so the final stats
+    snapshot covers the whole saturation loop.
     """
+    from repro.dist.coordinator import SALVAGE_COUNTERS
+
     skip = {"dist/jobs_total", "dist/jobs_cached", "dist/jobs_dispatched"}
     return {
         name: int(metric["value"])
         for name, metric in counters.items()
         if (
-            name.startswith("dist/")
+            (name.startswith("dist/") or name in SALVAGE_COUNTERS)
             and name not in skip
             and metric.get("kind") == "counter"
         )
@@ -1001,12 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--all-traces", action="store_true")
     p_sweep.add_argument(
-        "--resume",
-        action="store_true",
-        help="salvage shards left by a killed sweep; report recovered vs "
-        "recomputed cells",
-    )
-    p_sweep.add_argument(
         "--strict",
         action="store_true",
         help="exit nonzero if any cell failed after exhausting retries",
@@ -1271,14 +1236,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "total silence before a worker is declared lost "
             "(default: 3x the heartbeat interval)"
-        ),
-    )
-    p_dispatch.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "salvage the staged results of a crashed coordinator (from "
-            "its write-ahead journal) before re-leasing the remainder"
         ),
     )
     p_dispatch.add_argument(

@@ -31,15 +31,15 @@ Fault model, in the order the machinery engages:
   staged bytes tolerantly: a CRC-failed line (the ``remote-torn-merge``
   fault) is rejected and the entry recovered from the in-memory copy,
   so corruption in transit cannot reach the cache.
-* **Coordinator death** — every decision is journaled write-ahead
-  (:mod:`repro.dist.journal`) and staged shards fold into the cache
-  every ``fold_every`` completed leases, so a ``kill -9`` (the
+* **Coordinator death** — staged shards fold into the cache every
+  ``fold_every`` completed leases, so a ``kill -9`` (the
   ``coordinator-crash`` fault) loses at most one fold window of work.
-  ``repro dispatch --resume`` replays the journal, salvages
-  staged-but-unfolded results from the dead coordinator's shards, and
-  re-leases only the remainder; stale shard directories and orphaned
-  journals from dead coordinators are reclaimed on startup (live ones
-  are never touched — the stale-socket discipline).
+  Re-running the same dispatch recovers the rest: opening the cache
+  salvages the dead coordinator's staged shards (:mod:`repro.sim
+  .staging`), so those cells resolve as cached and only the remainder
+  re-leases.  The write-ahead journal (:mod:`repro.dist.journal`)
+  refuses a second coordinator while the first is alive and counts a
+  dead one's unfinished journal as a resume.
 
 Byte-determinism: the fold is the existing locked, atomic
 :func:`~repro.sim.resultcache.merge_cache_entries` (existing keys win)
@@ -55,7 +55,6 @@ snapshotted to ``dist-stats.json`` for ``repro stats``.
 from __future__ import annotations
 
 import os
-import shutil
 import sys
 import threading
 import time
@@ -64,17 +63,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from repro.dist.journal import (
-    DispatchJournal,
-    JournalReplay,
-    journal_path,
-    replay_journal,
-)
+from repro.dist.journal import DispatchJournal, journal_path, replay_journal
 from repro.dist.stats import write_dist_stats
 from repro.dist.worker import LocalWorkerPool, WorkerEndpoint
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeClientError, ServeTimeout
-from repro.sim import faultinject
+from repro.sim import faultinject, staging
 from repro.sim.config import MachineConfig, PRESETS
 from repro.sim.experiment import ExperimentRunner, default_cache_dir
 from repro.sim.locking import _pid_alive
@@ -82,7 +76,6 @@ from repro.sim.resultcache import (
     canonicalize_cache_file,
     corrupt_line_count,
     crc_failure_count,
-    encode_entry,
     iter_cache_entries,
     merge_cache_entries,
 )
@@ -107,6 +100,11 @@ DEFAULT_HEARTBEAT_INTERVAL = 5.0
 #: Default heartbeat deadline as a multiple of the interval: a worker
 #: silent (no events, no pongs) for this long is declared lost.
 HEARTBEAT_DEADLINE_FACTOR = 3.0
+
+#: Counters the runner publishes when opening the cache salvaged a dead
+#: writer's staging directories; the report reads them, and a redispatch
+#: loop carries them from round to round.
+SALVAGE_COUNTERS = ("cache/salvaged_cells", "cache/staging_dirs_reclaimed")
 
 #: Versions the coordinator offers, in preference order: v3 for
 #: heartbeats, v2 fallback (leases only, no pings) for older workers.
@@ -228,7 +226,6 @@ class DispatchCoordinator:
         fold_every: int = DEFAULT_FOLD_EVERY,
         heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_deadline: float | None = None,
-        resume: bool = False,
         carry_counters: dict[str, int] | None = None,
     ) -> None:
         self.preset_name = preset_name
@@ -260,16 +257,17 @@ class DispatchCoordinator:
             )
         else:
             self.heartbeat_deadline = None
-        self.resume = resume
 
+        # What the runner's open salvaged, read before a redispatch
+        # round's carried totals land on the same counter.
+        salvaged = self._counter("cache/salvaged_cells")
         # Stable counter shape: the crash-safety counters exist (at 0)
         # in every dist-stats snapshot, fired or not.
         for name in (
             "dist/folds_partial",
             "dist/heartbeats_missed",
             "dist/resumes",
-            "dist/jobs_salvaged",
-            "dist/stale_shards_reclaimed",
+            *SALVAGE_COUNTERS,
         ):
             self.registry.inc(name, 0)
         # A redispatch loop threads history counters (losses, folds,
@@ -278,10 +276,10 @@ class DispatchCoordinator:
         for name, value in (carry_counters or {}).items():
             self.registry.inc(name, value)
 
-        cache_path_early = self.runner.cache_path
+        cache_path = self.runner.cache_path
         self._journal_path: Path | None = (
-            journal_path(cache_path_early.parent, preset_name)
-            if cache_path_early is not None
+            journal_path(cache_path.parent, preset_name)
+            if cache_path is not None
             else None
         )
         self._journal: DispatchJournal | None = (
@@ -289,10 +287,12 @@ class DispatchCoordinator:
             if self._journal_path is not None
             else None
         )
-        # Crash recovery happens *before* matrix resolution so salvaged
-        # cells resolve as cached and never re-lease.
         self._recover_previous()
-        self._reclaim_stale_shards()
+        if salvaged and cache_path is not None:
+            # The open folded a dead writer's staged results in merge
+            # order; keep the cache canonical even if nothing is pending.
+            canonicalize_cache_file(cache_path, lock_timeout=lock_timeout)
+            self._log(f"salvaged {salvaged} staged result(s) from dead writers")
 
         self.jobs: list[DispatchJob] = []
         seen: set[str] = set()
@@ -327,9 +327,8 @@ class DispatchCoordinator:
         self._lease_serial = 0
         self._workers: list[WorkerHealth] = []
         self._pool: LocalWorkerPool | None = None
-        cache_path = self.runner.cache_path
         self._shard_dir: Path | None = (
-            cache_path.parent / f"{cache_path.name}.dist-{os.getpid()}"
+            staging.staging_dir(cache_path, "dist")
             if cache_path is not None
             else None
         )
@@ -349,7 +348,7 @@ class DispatchCoordinator:
     # ------------------------------------------------------------------
 
     def _recover_previous(self) -> None:
-        """Replay (and clear) a journal left behind by an earlier dispatch.
+        """Check (and clear) a journal left behind by an earlier dispatch.
 
         Three cases, in the stale-socket discipline:
 
@@ -357,11 +356,10 @@ class DispatchCoordinator:
           silently removed.
         * un-ended journal, owner pid alive — a live dispatch owns this
           preset's cache; refuse to race it.
-        * un-ended journal, owner dead — a crashed coordinator.  With
-          ``resume``, staged-but-unfolded results are salvaged from its
-          shard files *before* the matrix resolves (so they count as
-          cached and never re-lease); without, the journal is discarded
-          and every unfolded cell recomputes.
+        * un-ended journal, owner dead — a crashed coordinator.  Its
+          staged results were salvaged when the runner opened the
+          cache, so they already resolve as cached; the journal is
+          counted as a resume and removed.
         """
         self._resumed = False
         path = self._journal_path
@@ -375,84 +373,15 @@ class DispatchCoordinator:
                     f"another dispatch (pid {pid}) is live on this cache — "
                     f"journal {path.name} is still open"
                 )
-            if self.resume:
-                self._salvage(replay)
-                self._resumed = True
-                self.registry.inc("dist/resumes")
-                self._log(
-                    f"resuming after coordinator crash (pid {pid}): "
-                    f"{len(replay.staged)} staged, {len(replay.folded)} "
-                    f"folded, {replay.torn_lines} torn journal line(s)"
-                )
-            else:
-                self._log(
-                    f"discarding crashed dispatch journal {path.name} "
-                    f"(pid {pid}); pass --resume to salvage staged results"
-                )
+            self._resumed = True
+            self.registry.inc("dist/resumes")
+            self._log(
+                f"resuming after coordinator crash (pid {pid}): "
+                f"{len(replay.staged)} staged, {len(replay.folded)} "
+                f"folded, {replay.torn_lines} torn journal line(s)"
+            )
         assert self._journal is not None
         self._journal.remove()
-
-    def _salvage(self, replay: JournalReplay) -> None:
-        """Fold a dead coordinator's staged shards into the cache.
-
-        Everything readable in the shard files is merged — including
-        results staged just before the crash whose journal record never
-        landed — then the cache is canonicalized, so salvage order can
-        never perturb the final bytes.  Torn shard lines fail their CRC
-        and are skipped; those cells simply recompute.
-        """
-        cache_path = self.runner.cache_path
-        shard_dir = replay.shard_dir
-        if cache_path is None or shard_dir is None or not shard_dir.exists():
-            return
-        entries: dict[str, dict] = {}
-        for shard in sorted(shard_dir.glob("worker-*.jsonl")):
-            entries.update(dict(iter_cache_entries(shard)))
-        if not entries:
-            return
-        with self.registry.timer("phase/salvage"):
-            stats = merge_cache_entries(
-                cache_path, sorted(entries.items()),
-                lock_timeout=self.lock_timeout,
-            )
-            canonicalize_cache_file(cache_path, lock_timeout=self.lock_timeout)
-        self.registry.inc("dist/jobs_salvaged", stats.new_entries)
-        # The runner snapshotted the disk cache before salvage existed;
-        # reload so resolution sees the salvaged cells as cached.
-        self.runner._load_disk_cache()
-        self._log(
-            f"salvaged {stats.new_entries} staged result(s) from "
-            f"{shard_dir.name}"
-        )
-
-    def _reclaim_stale_shards(self) -> None:
-        """Remove shard directories abandoned by dead coordinators.
-
-        Mirrors the serve server's stale-socket reclaim: a directory
-        named for a live pid is left alone (that dispatch may still
-        fold it); one named for a dead pid can never be folded by its
-        owner again, and salvage (when asked for) has already read it.
-        """
-        cache_path = self.runner.cache_path
-        if cache_path is None:
-            return
-        reclaimed = 0
-        for stale in sorted(cache_path.parent.glob(f"{cache_path.name}.dist-*")):
-            if not stale.is_dir():
-                continue
-            suffix = stale.name.rsplit(".dist-", 1)[-1]
-            if not suffix.isdigit():
-                continue
-            pid = int(suffix)
-            if pid == os.getpid() or _pid_alive(pid):
-                continue
-            shutil.rmtree(stale, ignore_errors=True)
-            reclaimed += 1
-            self._log(
-                f"reclaimed stale shard directory {stale.name} (pid {pid})"
-            )
-        if reclaimed:
-            self.registry.inc("dist/stale_shards_reclaimed", reclaimed)
 
     # ------------------------------------------------------------------
     # Public surface
@@ -822,9 +751,10 @@ class DispatchCoordinator:
         """
         if self._shard_dir is None:
             return
-        shard = self._shard_dir / f"worker-{health.endpoint.index}.jsonl"
-        with shard.open("a") as handle:
-            handle.write(encode_entry(key, payload) + "\n")
+        shard = staging.writer_file(
+            self._shard_dir, f"worker-{health.endpoint.index}"
+        )
+        staging.append_entry(shard, key, payload)
         faultinject.after_remote_pull(health.endpoint.index, shard)
 
     def _on_worker_lost(
@@ -975,7 +905,7 @@ class DispatchCoordinator:
         if self._shard_dir is None or not self._shard_dir.exists():
             return staged
         crc_new = corrupt_new = 0
-        for shard in sorted(self._shard_dir.glob("worker-*.jsonl")):
+        for shard in staging.writer_files(self._shard_dir):
             before_crc = crc_failure_count(shard)
             before_corrupt = corrupt_line_count(shard)
             staged.update(dict(iter_cache_entries(shard)))
@@ -1005,7 +935,7 @@ class DispatchCoordinator:
         ):
             # Shards are only diagnostic once folded; keep them around
             # when something failed, for the post-mortem.
-            shutil.rmtree(self._shard_dir, ignore_errors=True)
+            staging.remove(self._shard_dir)
         return report
 
     def _build_report(self) -> DispatchReport:
@@ -1027,8 +957,8 @@ class DispatchCoordinator:
             folds_partial=self._counter("dist/folds_partial"),
             heartbeats_missed=self._counter("dist/heartbeats_missed"),
             resumes=self._counter("dist/resumes"),
-            salvaged=self._counter("dist/jobs_salvaged"),
-            stale_shards_reclaimed=self._counter("dist/stale_shards_reclaimed"),
+            salvaged=self._counter("cache/salvaged_cells"),
+            stale_shards_reclaimed=self._counter("cache/staging_dirs_reclaimed"),
             failures=sorted(self._failures.values(), key=lambda f: f["key"]),
             workers=[health.to_dict() for health in self._workers],
         )

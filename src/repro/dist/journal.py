@@ -6,8 +6,11 @@ which are staged in shard files awaiting a fold, and which are still
 outstanding.  This module makes that knowledge durable.  Every
 state-changing decision — matrix resolution, lease grants, completions,
 failures, fold-ins — is appended to an NDJSON journal *before* the
-coordinator acts on it being done, so ``repro dispatch --resume`` can
-replay the file after a ``kill -9`` and re-lease only the remainder.
+coordinator acts on it being done.  Recovery itself does not need the
+journal (re-opening the cache salvages a dead coordinator's staged
+shards, :mod:`repro.sim.staging`); the journal tells a re-run whether
+another coordinator is still alive, and what the dead one had staged
+and folded.
 
 Format: one record per line, ``<canonical JSON>#<crc32 hex8>`` — the
 same self-checking line discipline as the v5 result cache, so a torn
@@ -29,8 +32,8 @@ Durability discipline: appends happen under the cache's
 :class:`~repro.sim.locking.FileLock` (a sibling ``.lock`` file) and are
 fsync'd, mirroring the result store's crash-safety contract.  A journal
 whose ``begin`` pid is still alive belongs to a running coordinator and
-is never touched; one whose owner is dead is either replayed
-(``--resume``) or reclaimed, exactly like a stale serve socket.
+is never touched; one whose owner is dead is reported and removed,
+exactly like a stale serve socket.
 """
 
 from __future__ import annotations
@@ -125,8 +128,8 @@ class JournalReplay:
     def staged(self) -> set[str]:
         """Keys completed into a staged shard but never folded.
 
-        These are exactly the cells ``--resume`` can salvage without
-        recomputation — the crash window a partial fold bounds.
+        These are the cells a re-run salvages without recomputation —
+        the crash window a partial fold bounds.
         """
         return self.completed - self.folded
 

@@ -16,11 +16,13 @@ results and cache files (enforced by ``tests/sim/test_parallel.py``).
 Sweeps are *fault tolerant*: per-job retries/timeouts come from a
 :class:`~repro.sim.retry.RetryPolicy` (``retries=``/``job_timeout=``
 arguments, ``$REPRO_RETRIES``/``$REPRO_JOB_TIMEOUT`` environment
-fallbacks), crashed workers are recovered by the sweep engine, and jobs
-that exhaust their retries become :class:`~repro.sim.retry.FailedCell`
-records — raised as one :class:`~repro.sim.retry.SweepFailedError` in
-``strict`` mode (the default, preserving library fail-fast semantics)
-or accumulated on :attr:`ExperimentRunner.failed_cells` otherwise.
+fallbacks), crashed workers are recovered by the sweep engine, a killed
+sweep or dispatch is salvaged when the next runner opens the cache
+(:mod:`repro.sim.staging`), and jobs that exhaust their retries become
+:class:`~repro.sim.retry.FailedCell` records — raised as one
+:class:`~repro.sim.retry.SweepFailedError` in ``strict`` mode (the
+default, preserving library fail-fast semantics) or accumulated on
+:attr:`ExperimentRunner.failed_cells` otherwise.
 Sweep-level health counters (``sweep/retries``, ``sweep/failures``,
 ``sweep/recovered_workers``…) are published to
 :attr:`ExperimentRunner.registry`; they are process-local and never
@@ -46,7 +48,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.obs.registry import CounterRegistry
-from repro.sim import locking
+from repro.sim import locking, staging
 from repro.sim.config import MachineConfig, Preset
 from repro.sim.multi_core import MixRunResult, simulate_mix
 from repro.sim.parallel import (
@@ -67,7 +69,6 @@ from repro.sim.resultcache import (
     crc_failure_count,
     iter_cache_entries,
     load_cache_entries,
-    merge_cache_entries,
 )
 from repro.sim.retry import FailedCell, RetryPolicy, SweepFailedError
 from repro.sim.single_core import RunResult, simulate_trace
@@ -86,30 +87,6 @@ def default_cache_dir() -> Path:
     if override:
         return Path(override)
     return Path.cwd() / ".repro_cache"
-
-
-def _owner_is_alive(shard_dir: Path) -> bool:
-    """Whether the process that owns ``<stem>.shards-<pid>`` still runs.
-
-    Shard directories encode their sweep's parent pid; one from a live
-    process (including ours) belongs to an in-flight sweep and must not
-    be salvaged.  An unparseable suffix is treated as dead — better to
-    salvage a stray directory than to leak results forever.
-    """
-    suffix = shard_dir.name.rsplit("-", 1)[-1]
-    try:
-        pid = int(suffix)
-    except ValueError:
-        return False
-    if pid == os.getpid():
-        return True
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True  # exists, owned by someone else
-    return True
 
 
 class ExperimentRunner:
@@ -174,11 +151,30 @@ class ExperimentRunner:
             directory = cache_dir or default_cache_dir()
             directory.mkdir(parents=True, exist_ok=True)
             self._cache_path = directory / cache_file_name(preset.name)
+            self._salvage_dead_writers()
             self._load_disk_cache()
 
     # ------------------------------------------------------------------
     # Cache plumbing
     # ------------------------------------------------------------------
+
+    def _salvage_dead_writers(self) -> None:
+        """Fold the staging directories of killed sweeps and dispatches in.
+
+        A sweep or dispatch killed before its fold leaves its finished
+        cells only in ``<cache>.<role>-<pid>/`` (:mod:`repro.sim.staging`).
+        Opening the cache recovers every such directory whose owner is
+        dead, so a plain re-run resumes where the killed run stopped.
+        """
+        assert self._cache_path is not None
+        cells, dirs = staging.salvage_dead_writers(
+            self._cache_path, lock_timeout=self.lock_timeout
+        )
+        if cells:
+            self.registry.inc("cache/salvaged_cells", cells)
+        if dirs:
+            self.registry.inc("cache/staging_dirs_reclaimed", dirs)
+        self._sync_lock_stats()
 
     def _load_disk_cache(self) -> None:
         if self._cache_path is None:
@@ -232,54 +228,6 @@ class ExperimentRunner:
                 "cache/lock_timeouts", timeouts - self._lock_timeouts_seen
             )
             self._lock_timeouts_seen = timeouts
-
-    def resume_orphan_shards(self) -> list[str]:
-        """Salvage shard files a killed sweep left behind; returns their keys.
-
-        A parent SIGKILLed mid-sweep never reaches the shard merge, so
-        completed cells survive only in ``<cache>.shards-<pid>/`` files.
-        This folds every entry from shard directories whose owning
-        process is dead into the cache (memory and disk), deletes the
-        directories, and reports the recovered keys — the
-        ``repro sweep --resume`` path.  Entries already cached are not
-        duplicated.
-        """
-        if self._cache_path is None:
-            return []
-        recovered: dict[str, dict] = {}
-        orphans: list[Path] = []
-        pattern = f"{self._cache_path.stem}.shards-*"
-        for shard_dir in sorted(self._cache_path.parent.glob(pattern)):
-            if _owner_is_alive(shard_dir):
-                continue  # an in-flight sweep owns it; not ours to touch
-            orphans.append(shard_dir)
-            for shard in sorted(shard_dir.glob("shard-*.jsonl")):
-                for key, result in iter_cache_entries(shard):
-                    if key not in self._memory and key not in recovered:
-                        recovered[key] = result
-        if recovered:
-            # Fold-in merge (not append): if a concurrent process resumed
-            # the same orphans first, its entries win and nothing is
-            # duplicated.
-            merge_cache_entries(
-                self._cache_path,
-                recovered.items(),
-                lock_timeout=self.lock_timeout,
-            )
-            self._memory.update(recovered)
-            self.registry.inc("sweep/resumed_cells", len(recovered))
-            self._sync_lock_stats()
-        for shard_dir in orphans:
-            for shard in shard_dir.glob("shard-*.jsonl"):
-                try:
-                    shard.unlink()
-                except OSError:
-                    pass
-            try:
-                shard_dir.rmdir()
-            except OSError:
-                pass
-        return sorted(recovered)
 
     def _store(self, key: str, result: dict) -> None:
         self._memory[key] = result

@@ -21,8 +21,10 @@ experiment cache depends on:
   directory cooperate instead of clobbering each other (existing keys
   always win, new keys land in submission order).
 * **Crash tolerance** — shards are flushed per job, so results survive a
-  killed sweep; the tolerant loader in :mod:`repro.sim.resultcache`
-  skips (and counts) any line torn by the interruption.
+  killed sweep and are salvaged when the next runner opens the cache
+  (:mod:`repro.sim.staging`); the tolerant loader in
+  :mod:`repro.sim.resultcache` skips (and counts) any line torn by the
+  interruption.
 
 On top of the scheduling layer sits a fault-tolerance layer in the
 shape of a production job runner:
@@ -57,14 +59,12 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.obs.tracing import TRACE_ENV
-from repro.sim import faultinject
+from repro.sim import faultinject, staging
 from repro.sim.config import MachineConfig, Preset
 from repro.sim.multi_core import simulate_mix
 from repro.sim.resultcache import (
     corrupt_line_total,
     crc_failure_total,
-    encode_entry,
-    iter_cache_entries,
     merge_cache_entries,
 )
 from repro.sim.retry import FailedCell, JobOutcome, RetryPolicy, deadline
@@ -225,7 +225,9 @@ def _init_worker(preset: Preset, shard_dir: str | None, policy: RetryPolicy) -> 
     _WORKER["suite"] = TraceSuite(preset.reference_llc_lines, preset.trace_length)
     _WORKER["policy"] = policy
     _WORKER["shard_path"] = (
-        Path(shard_dir) / f"shard-{os.getpid()}.jsonl" if shard_dir else None
+        staging.writer_file(Path(shard_dir), f"shard-{os.getpid()}")
+        if shard_dir
+        else None
     )
 
 
@@ -240,8 +242,7 @@ def _run_chunk(chunk: Sequence[tuple[int, SweepJob]]) -> list[JobOutcome]:
         # Flush per job so a later crash loses at most the line being
         # written — this is what makes shard salvage and resume work.
         if outcome.result is not None and shard_path is not None:
-            with shard_path.open("a") as handle:
-                handle.write(encode_entry(job.key, outcome.result) + "\n")
+            staging.append_entry(shard_path, job.key, outcome.result)
             faultinject.after_shard_write(index, shard_path)
         outcomes.append(outcome)
     return outcomes
@@ -274,7 +275,8 @@ def run_sweep(
     When ``cache_path`` is given, the workers' shard files are folded
     into it (in ``jobs_list`` order, deduplicated by key, under the
     cache's advisory lock with ``lock_timeout`` bounding the wait) after
-    the pool drains, then deleted.  Keys in ``jobs_list`` must be unique.
+    the pool drains, then deleted; a sweep that raises leaves them for
+    the next runner to salvage.  Keys in ``jobs_list`` must be unique.
 
     The sweep survives worker faults: per-job retries/timeouts are
     governed by ``policy`` (default: no retries, no timeout), a crashed
@@ -293,7 +295,7 @@ def run_sweep(
 
     shard_dir: Path | None = None
     if cache_path is not None:
-        shard_dir = cache_path.parent / f"{cache_path.stem}.shards-{os.getpid()}"
+        shard_dir = staging.staging_dir(cache_path, "shards")
         shard_dir.mkdir(parents=True, exist_ok=True)
 
     finished: set[int] = set()
@@ -313,79 +315,57 @@ def run_sweep(
         if progress is not None:
             progress(len(finished), total, job_outcome.key)
 
-    try:
-        remaining = list(range(total))
-        recoveries_left = MAX_WORKER_RECOVERIES
-        while remaining:
-            pending = [(index, jobs_list[index]) for index in remaining]
-            chunk = chunksize or max(1, math.ceil(len(pending) / (workers * 4)))
-            chunks = [
-                pending[start : start + chunk]
-                for start in range(0, len(pending), chunk)
-            ]
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=_pool_context(),
-                    initializer=_init_worker,
-                    initargs=(preset, str(shard_dir) if shard_dir else None, policy),
-                ) as pool:
-                    for future in as_completed(
-                        [pool.submit(_run_chunk, part) for part in chunks]
-                    ):
-                        for job_outcome in future.result():
-                            record(job_outcome)
-            except BrokenProcessPool:
-                # A worker died hard (OOM kill, segfault, os._exit).
-                # Salvage whatever the dead pool already persisted, then
-                # rebuild and re-shard the rest.
-                if recoveries_left == 0:
-                    raise
-                recoveries_left -= 1
-                outcome.recovered_workers += 1
-                for job_outcome in _salvage_from_shards(
-                    shard_dir, jobs_list, finished
+    remaining = list(range(total))
+    recoveries_left = MAX_WORKER_RECOVERIES
+    while remaining:
+        pending = [(index, jobs_list[index]) for index in remaining]
+        chunk = chunksize or max(1, math.ceil(len(pending) / (workers * 4)))
+        chunks = [
+            pending[start : start + chunk]
+            for start in range(0, len(pending), chunk)
+        ]
+        try:
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=_pool_context(),
+                initializer=_init_worker,
+                initargs=(preset, str(shard_dir) if shard_dir else None, policy),
+            ) as pool:
+                for future in as_completed(
+                    [pool.submit(_run_chunk, part) for part in chunks]
                 ):
-                    record(job_outcome)
-            remaining = [index for index in range(total) if index not in finished]
+                    for job_outcome in future.result():
+                        record(job_outcome)
+        except BrokenProcessPool:
+            # A worker died hard (OOM kill, segfault, os._exit).  Its
+            # in-flight futures are gone, but every job it finished is
+            # in the shards: salvage those, then rebuild and re-shard
+            # the rest.
+            if recoveries_left == 0:
+                raise
+            recoveries_left -= 1
+            outcome.recovered_workers += 1
+            persisted = staging.read_staged(shard_dir) if shard_dir else {}
+            for index, job in enumerate(jobs_list):
+                if index not in finished and job.key in persisted:
+                    record(
+                        JobOutcome(
+                            index=index,
+                            key=job.key,
+                            result=persisted[job.key],
+                            from_shard=True,
+                        )
+                    )
+        remaining = [index for index in range(total) if index not in finished]
 
-        if shard_dir is not None:
-            assert cache_path is not None  # shard_dir implies a cache file
-            _merge_shards(
-                cache_path, shard_dir, jobs_list, outcome, lock_timeout
-            )
-    finally:
-        if shard_dir is not None:
-            _remove_shards(shard_dir)
+    if shard_dir is not None:
+        assert cache_path is not None  # shard_dir implies a cache file
+        _merge_shards(cache_path, shard_dir, jobs_list, outcome, lock_timeout)
+        # Only a merged directory goes: one left by a crash or a lock
+        # timeout is salvaged when a later runner opens the cache.
+        staging.remove(shard_dir)
     assert len(finished) == total  # every job has a result or a FailedCell
     return outcome
-
-
-def _salvage_from_shards(
-    shard_dir: Path | None,
-    jobs_list: Sequence[SweepJob],
-    finished: set[int],
-) -> list[JobOutcome]:
-    """Recover completed-but-unreported jobs from a dead pool's shards.
-
-    A crashed worker takes its in-flight chunk's *futures* down with it,
-    but every job it finished before dying is already on disk.  Reading
-    the shards back turns those into ordinary outcomes so the rebuild
-    only recomputes what was truly lost.
-    """
-    if shard_dir is None:
-        return []
-    persisted: dict[str, dict] = {}
-    for shard in sorted(shard_dir.glob("shard-*.jsonl")):
-        for key, result in iter_cache_entries(shard):
-            persisted[key] = result
-    return [
-        JobOutcome(
-            index=index, key=job.key, result=persisted[job.key], from_shard=True
-        )
-        for index, job in enumerate(jobs_list)
-        if index not in finished and job.key in persisted
-    ]
 
 
 def _merge_shards(
@@ -409,11 +389,7 @@ def _merge_shards(
     """
     corrupt_before = corrupt_line_total()
     crc_before = crc_failure_total()
-    sharded: dict[str, dict] = {}
-    for shard in sorted(shard_dir.glob("shard-*.jsonl")):
-        # One streaming pass per shard — no intermediate per-shard dict.
-        for key, result in iter_cache_entries(shard):
-            sharded[key] = result
+    sharded = staging.read_staged(shard_dir)
     stats = merge_cache_entries(
         cache_path,
         (
@@ -426,16 +402,3 @@ def _merge_shards(
     outcome.corrupt_lines += corrupt_line_total() - corrupt_before
     outcome.crc_failures += crc_failure_total() - crc_before
     outcome.lock_waits += stats.lock_waits
-
-
-def _remove_shards(shard_dir: Path) -> None:
-    """Delete a sweep's shard files and directory, ignoring races."""
-    for shard in shard_dir.glob("shard-*.jsonl"):
-        try:
-            shard.unlink()
-        except OSError:
-            pass
-    try:
-        shard_dir.rmdir()
-    except OSError:
-        pass

@@ -185,10 +185,10 @@ def sweep_health_summary(
     Accepts :meth:`~repro.obs.registry.CounterRegistry.as_dict` output;
     counters that never fired print as 0 so the line's shape is stable.
     Covers the fault-tolerance counters (``sweep/*``) and the
-    persistence-layer ones (``cache/*``: lock contention, checksum
-    rejections, legacy lines folded in).  ``engine``, if given, is the
-    resolved simulation engine name and leads the line, so sweep logs
-    record which inner loop produced them.
+    persistence-layer ones (``cache/*``: cells salvaged from killed runs,
+    lock contention, checksum rejections, legacy lines folded in).
+    ``engine``, if given, is the resolved simulation engine name and
+    leads the line, so sweep logs record which inner loop produced them.
     """
     names = (
         ("retries", "sweep/retries"),
@@ -196,28 +196,25 @@ def sweep_health_summary(
         ("recovered workers", "sweep/recovered_workers"),
         ("cells salvaged from shards", "sweep/shard_recovered"),
         ("corrupt cache lines skipped", "sweep/corrupt_lines"),
+        ("cells salvaged from killed runs", "cache/salvaged_cells"),
+        ("staging dirs reclaimed", "cache/staging_dirs_reclaimed"),
         ("lock waits", "cache/lock_waits"),
         ("lock timeouts", "cache/lock_timeouts"),
         ("CRC failures", "cache/crc_failures"),
         ("migrated lines", "cache/migrated_lines"),
     )
-    values = []
-    if engine is not None:
-        values.append(f"engine: {engine}")
-    for label, name in names:
-        metric = counters.get(name)
-        value = metric["value"] if metric and metric.get("kind") == "counter" else 0
-        values.append(f"{label}: {value}")
-    return "  ".join(values)
+    line = _counter_line(counters, names)
+    return f"engine: {engine}  {line}" if engine is not None else line
 
 
 def dispatch_health_summary(counters: Mapping[str, Mapping]) -> str:
     """One line of dispatch crash-safety counters from a serialised registry.
 
     The ``dist/*`` companion to :func:`sweep_health_summary`: leases,
-    streaming partial folds, heartbeat misses, resumes/salvage and
-    stale-shard reclaims — the counters an operator reads after a
-    crashy distributed sweep to see what the machinery absorbed.
+    streaming partial folds, heartbeat misses, resumes, the cells and
+    staging directories the cache open salvaged — the counters an
+    operator reads after a crashy distributed sweep to see what the
+    machinery absorbed.
     Counters that never fired print as 0 so the line's shape is stable.
     """
     names = (
@@ -225,12 +222,19 @@ def dispatch_health_summary(counters: Mapping[str, Mapping]) -> str:
         ("partial folds", "dist/folds_partial"),
         ("heartbeats missed", "dist/heartbeats_missed"),
         ("resumes", "dist/resumes"),
-        ("cells salvaged", "dist/jobs_salvaged"),
-        ("stale shards reclaimed", "dist/stale_shards_reclaimed"),
+        ("cells salvaged", "cache/salvaged_cells"),
+        ("staging dirs reclaimed", "cache/staging_dirs_reclaimed"),
         ("workers lost", "dist/workers_lost"),
         ("jobs reassigned", "dist/jobs_reassigned"),
         ("duplicates", "dist/duplicate_results"),
     )
+    return _counter_line(counters, names)
+
+
+def _counter_line(
+    counters: Mapping[str, Mapping], names: Sequence[tuple[str, str]]
+) -> str:
+    """``label: value`` pairs for named counters; unfired ones print 0."""
     values = []
     for label, name in names:
         metric = counters.get(name)

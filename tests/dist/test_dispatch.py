@@ -6,7 +6,8 @@ partitioned worker completing a job the coordinator already reassigned
 (first result wins, duplicate is a counted no-op), the degenerate
 empty matrix (never touch a worker or the cache file), and the
 crash-safety machinery — streaming partial folds, journal lifecycle,
-stale-shard reclaim and crashed-coordinator salvage.  The
+and the salvage of dead writers' staging directories (a crashed
+coordinator's or a killed sweep's) when the coordinator opens the cache.  The
 wire-in-the-middle versions of the same invariants live in
 ``test_dispatch_integration.py``.
 """
@@ -282,13 +283,14 @@ class TestJournalLifecycle:
         assert not journal.path.exists()
         assert _counter(coordinator, "dist/resumes") == 0
 
-    def test_dead_journal_without_resume_is_discarded(self, tmp_path):
+    def test_dead_journal_counts_as_a_resume_and_is_removed(self, tmp_path):
         journal = DispatchJournal(journal_path(tmp_path, "test"))
         journal._append({"t": "begin", "pid": _dead_pid(), "shard_dir": ""})
         coordinator = _coordinator(tmp_path)
         assert not journal.path.exists()
-        assert _counter(coordinator, "dist/resumes") == 0
-        assert _counter(coordinator, "dist/jobs_salvaged") == 0
+        assert _counter(coordinator, "dist/resumes") == 1
+        assert _counter(coordinator, "cache/salvaged_cells") == 0
+        assert coordinator.pending_jobs == 2
 
     def test_resume_salvages_staged_results_before_resolution(self, tmp_path):
         # Learn the real cache key the matrix will resolve, then fake a
@@ -326,23 +328,54 @@ class TestJournalLifecycle:
             lines.append(encode_record(record))
         journal.path.write_text("\n".join(lines) + "\n")
 
-        coordinator = _coordinator(tmp_path, resume=True)
+        coordinator = _coordinator(tmp_path)
 
-        # Salvage folded the staged cell in *before* resolution: it now
-        # counts as cached and will never re-lease.
+        # Opening the cache folded the staged cell in *before*
+        # resolution: it now counts as cached and will never re-lease.
         assert coordinator.pending_jobs == 1
         assert coordinator.cached_cells == 1
         assert _counter(coordinator, "dist/resumes") == 1
-        assert _counter(coordinator, "dist/jobs_salvaged") == 1
+        assert _counter(coordinator, "cache/salvaged_cells") == 1
         assert dict(iter_cache_entries(cache_path))[key] == payload
         assert not journal.path.exists()
         # The dead coordinator's shard directory was reclaimed too.
         assert not shard_dir.exists()
-        assert _counter(coordinator, "dist/stale_shards_reclaimed") == 1
+        assert _counter(coordinator, "cache/staging_dirs_reclaimed") == 1
+
+    def test_dead_sweep_shards_resolve_as_cached(self, tmp_path):
+        """A killed ``repro sweep`` left worker shards; a dispatch over
+        the same cache salvages them and leaves the cache canonical."""
+        probe = _coordinator(tmp_path, traces=("sjeng.1", "mcf.1"))
+        assert probe.pending_jobs == 4
+        cache_path = probe.runner.cache_path
+        first, last = probe.jobs[0].key, probe.jobs[-1].key
+        cache_path.write_text(encode_entry(last, {"ipc": 2.0}) + "\n")
+        shard_dir = cache_path.with_name(
+            f"{cache_path.name}.shards-{_dead_pid()}"
+        )
+        shard_dir.mkdir()
+        (shard_dir / "shard-7.jsonl").write_text(
+            encode_entry(first, {"ipc": 1.5}) + "\n" + '{"key": "torn'
+        )
+
+        with pytest.warns(RuntimeWarning):
+            coordinator = _coordinator(tmp_path, traces=("sjeng.1", "mcf.1"))
+
+        assert coordinator.cached_cells == 2
+        assert [job.key for job in coordinator.jobs] == [
+            job.key for job in probe.jobs[1:-1]
+        ]
+        assert _counter(coordinator, "cache/salvaged_cells") == 1
+        assert coordinator._build_report().salvaged == 1
+        assert not shard_dir.exists()
+        # Canonical (key-sorted) even though nothing has been dispatched.
+        keys = [key for key, _ in iter_cache_entries(cache_path)]
+        assert keys == sorted([first, last])
 
 
 class TestStaleShardReclaim:
     def test_dead_pid_shards_reclaimed_live_and_own_kept(self, tmp_path):
+        """Only a dead pid's directory is touched, whichever its role."""
         probe = _coordinator(tmp_path)
         cache_path = probe.runner.cache_path
         dead = cache_path.parent / f"{cache_path.name}.dist-{_dead_pid()}"
@@ -359,4 +392,5 @@ class TestStaleShardReclaim:
         assert live.exists()  # pid 1 is alive: never touched
         assert own.exists()
         assert odd.exists()  # unparseable suffix: left alone
-        assert _counter(coordinator, "dist/stale_shards_reclaimed") == 1
+        assert _counter(coordinator, "cache/staging_dirs_reclaimed") == 1
+        assert coordinator._build_report().stale_shards_reclaimed == 1

@@ -159,14 +159,14 @@ def test_redispatch_is_fully_cached_and_touches_nothing(tmp_path):
 
 
 def test_coordinator_crash_then_resume_is_byte_identical(tmp_path):
-    """kill -9 mid-dispatch: --resume salvages staged cells, finishes, matches serial.
+    """kill -9 mid-dispatch: a plain re-run salvages staged cells, finishes, matches serial.
 
     The injected ``coordinator-crash`` fault hard-exits the coordinator
     (``os._exit(88)``) right after its first partial fold, leaving the
     journal, the staged-shard dir and the orphaned workers behind —
-    exactly the wreckage a real SIGKILL leaves.  The resumed dispatch
-    must salvage, adopt or reclaim all of it and still produce the
-    golden bytes.
+    exactly the wreckage a real SIGKILL leaves.  Re-running the same
+    command must salvage, adopt or reclaim all of it and still produce
+    the golden bytes.
     """
     serial = _serial_reference(tmp_path / "serial")
 
@@ -195,7 +195,7 @@ def test_coordinator_crash_then_resume_is_byte_identical(tmp_path):
     [journal] = dist_dir.glob("dispatch-journal-*.ndjson")
     assert journal.exists()
 
-    # Resume with the fault disarmed (its one-shot stamp also remains).
+    # Re-run with the fault disarmed (its one-shot stamp also remains).
     resume_env = _env(dist_dir)
     resumed = _repro(
         (
@@ -207,7 +207,6 @@ def test_coordinator_crash_then_resume_is_byte_identical(tmp_path):
             "2",
             "--lease-size",
             "2",
-            "--resume",
             "--json",
         ),
         resume_env,

@@ -14,10 +14,18 @@ fault-tolerance layer:
 
 from __future__ import annotations
 
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB, TEST
-from repro.sim.experiment import ExperimentRunner
+from repro.sim.experiment import CACHE_DIR_ENV, ExperimentRunner
 from repro.sim.faultinject import (
     FAULTS_DIR_ENV,
     FAULTS_ENV,
@@ -25,7 +33,11 @@ from repro.sim.faultinject import (
     InjectedFault,
     parse_faults,
 )
-from repro.sim.resultcache import encode_entry
+from repro.sim.resultcache import (
+    canonicalize_cache_file,
+    encode_entry,
+    load_cache_entries,
+)
 from repro.sim.retry import RetryPolicy, SweepFailedError
 
 TRACES = ["sjeng.1", "mcf.1", "lbm.1", "octane.1"]
@@ -206,12 +218,12 @@ class TestCorruptShards:
 
 
 class TestResume:
-    def _orphan_shards(self, runner: ExperimentRunner, donor, keys) -> None:
+    """A killed sweep resumes by re-opening the cache: no flag, no call."""
+
+    def _orphan_shards(self, cache_path, donor, keys) -> None:
         """Fabricate what a SIGKILLed sweep leaves behind: shard files
         from a dead pid, never merged into the main cache."""
-        shard_dir = runner._cache_path.parent / (
-            runner._cache_path.stem + ".shards-999999999"
-        )
+        shard_dir = cache_path.with_name(f"{cache_path.name}.shards-999999999")
         shard_dir.mkdir()
         with (shard_dir / "shard-1.jsonl").open("w") as handle:
             for key in keys:
@@ -223,14 +235,14 @@ class TestResume:
 
         interrupted = ExperimentRunner(TEST, cache_dir=tmp_path / "killed", jobs=1)
         completed = sorted(donor._memory)[:3]
-        self._orphan_shards(interrupted, donor, completed)
+        self._orphan_shards(interrupted.cache_path, donor, completed)
 
         resumed = ExperimentRunner(TEST, cache_dir=tmp_path / "killed", jobs=1)
-        salvaged = resumed.resume_orphan_shards()
-        assert salvaged == sorted(completed)
-        assert _counter(resumed, "sweep/resumed_cells") == 3
+        assert _counter(resumed, "cache/salvaged_cells") == 3
+        assert _counter(resumed, "cache/staging_dirs_reclaimed") == 1
         # The orphan directory is gone; entries are on disk now.
         assert not list((tmp_path / "killed").glob("*.shards-*"))
+        assert sorted(load_cache_entries(resumed.cache_path)) == completed
 
         # The resumed sweep recomputes only the missing cells.
         assert _sweep(resumed) == _sweep(donor)
@@ -243,28 +255,91 @@ class TestResume:
 
         runner = ExperimentRunner(TEST, cache_dir=tmp_path / "r", jobs=1)
         keys = sorted(donor._memory)[:2]
-        self._orphan_shards(runner, donor, keys)
+        self._orphan_shards(runner.cache_path, donor, keys)
         fresh = ExperimentRunner(TEST, cache_dir=tmp_path / "r", jobs=1)
-        assert fresh.resume_orphan_shards() == keys
-        assert fresh.resume_orphan_shards() == []  # nothing left to salvage
+        assert _counter(fresh, "cache/salvaged_cells") == 2
+        before = fresh.cache_path.read_bytes()
+        again = ExperimentRunner(TEST, cache_dir=tmp_path / "r", jobs=1)
+        assert _counter(again, "cache/salvaged_cells") == 0  # nothing left
+        assert again.cache_path.read_bytes() == before
 
-        # A shard whose keys are already cached contributes nothing.
-        self._orphan_shards(fresh, donor, keys)
-        assert fresh.resume_orphan_shards() == []
+        # A shard whose keys are already cached contributes nothing, but
+        # its directory is still reclaimed.
+        self._orphan_shards(fresh.cache_path, donor, keys)
+        third = ExperimentRunner(TEST, cache_dir=tmp_path / "r", jobs=1)
+        assert _counter(third, "cache/salvaged_cells") == 0
+        assert _counter(third, "cache/staging_dirs_reclaimed") == 1
+        assert third.cache_path.read_bytes() == before
 
     def test_live_shard_directories_are_left_alone(self, tmp_path):
-        import os
-
         runner = ExperimentRunner(TEST, cache_dir=tmp_path, jobs=1)
-        live_dir = runner._cache_path.parent / (
-            runner._cache_path.stem + f".shards-{os.getpid()}"
+        live_dir = runner.cache_path.with_name(
+            f"{runner.cache_path.name}.shards-{os.getpid()}"
         )
         live_dir.mkdir()
+        (live_dir / "shard-1.jsonl").write_text(
+            encode_entry("live|key", {"v": 1}) + "\n"
+        )
+        again = ExperimentRunner(TEST, cache_dir=tmp_path, jobs=1)
+        assert again.cached_payload("live|key") is None
+        assert live_dir.exists()
+        assert _counter(again, "cache/staging_dirs_reclaimed") == 0
+
+
+class TestKilledSweep:
+    def test_sigkilled_sweep_resumes_by_plain_rerun(self, tmp_path):
+        """SIGKILL a parallel sweep mid-flight; re-running it salvages the
+        finished cells and converges on the serial run's bytes."""
+        traces = TRACES[:2]
+        env = os.environ.copy()
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env[CACHE_DIR_ENV] = str(tmp_path / "killed")
+        env.pop(FAULTS_DIR_ENV, None)
+        env.pop(FAULTS_ENV, None)
+        argv = [sys.executable, "-m", "repro", "sweep", "--preset", "test"]
+        for trace in traces:
+            argv += ["--trace", trace]
+        argv += ["--jobs", "2"]
+
+        # The last job hangs, so the sweep can never finish on its own.
+        victim = subprocess.Popen(
+            argv,
+            env={**env, FAULTS_ENV: f"hang:{2 * len(traces) - 1}:1"},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
         try:
-            assert runner.resume_orphan_shards() == []
-            assert live_dir.exists()
+            deadline = time.monotonic() + 120
+            shards = tmp_path / "killed"
+            while not any(
+                b"\n" in path.read_bytes()
+                for path in shards.glob("*.shards-*/*.jsonl")
+            ):
+                assert victim.poll() is None, "the sweep exited on its own"
+                assert time.monotonic() < deadline, "no shard line appeared"
+                time.sleep(0.05)
         finally:
-            live_dir.rmdir()
+            # The whole group: no hung pool worker may outlive the test.
+            os.killpg(victim.pid, signal.SIGKILL)
+            victim.wait()
+        assert list(shards.glob("*.shards-*"))
+
+        rerun = subprocess.run(
+            argv, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert rerun.returncode == 0, rerun.stderr
+        salvaged = re.search(r"salvaged from killed runs: (\d+) cells", rerun.stdout)
+        assert salvaged is not None and int(salvaged.group(1)) >= 1, rerun.stdout
+        assert not list(shards.glob("*.shards-*"))
+
+        serial = ExperimentRunner(TEST, cache_dir=tmp_path / "serial", jobs=1)
+        serial.run_pair(BASELINE_2MB, BASE_VICTIM_2MB, traces)
+        [killed] = shards.glob("results-v*.jsonl")
+        for path in (killed, serial.cache_path):
+            canonicalize_cache_file(path)
+        assert killed.read_bytes() == serial.cache_path.read_bytes()
 
 
 class TestRetryPolicyUnit:

@@ -63,18 +63,16 @@ class TestParser:
     def test_sweep_flags(self):
         args = build_parser().parse_args(
             ["sweep", "--preset", "test", "--trace", "mcf.1", "--trace",
-             "sjeng.1", "--resume", "--strict", "--jobs", "2"]
+             "sjeng.1", "--strict", "--jobs", "2"]
         )
         assert args.preset == "test"
         assert args.traces == ["mcf.1", "sjeng.1"]
-        assert args.resume
         assert args.strict
         assert args.jobs == 2
 
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep"])
         assert args.preset == "bench"
-        assert not args.resume
         assert not args.strict
         assert not args.all_traces
         assert args.traces is None
@@ -187,18 +185,18 @@ class TestDispatchParser:
         assert args.fold_every == DEFAULT_FOLD_EVERY
         assert args.heartbeat == DEFAULT_HEARTBEAT_INTERVAL
         assert args.heartbeat_deadline is None
-        assert not args.resume
         assert args.redispatch == 0
 
     def test_dispatch_crash_safety_flags(self):
         args = build_parser().parse_args(
             ["dispatch", "--fold-every", "4", "--heartbeat", "0.3",
-             "--heartbeat-deadline", "1", "--resume", "--redispatch", "2"]
+             "--heartbeat-deadline", "1", "--redispatch", "2"]
         )
+        with pytest.raises(SystemExit):  # a plain re-run is the resume
+            build_parser().parse_args(["dispatch", "--resume"])
         assert args.fold_every == 4
         assert args.heartbeat == 0.3
         assert args.heartbeat_deadline == 1.0
-        assert args.resume
         assert args.redispatch == 2
 
     def test_dispatch_spawned_fleet_flags(self):
@@ -350,13 +348,28 @@ class TestCommands:
         assert "Traceback" not in captured.out + captured.err
 
     def test_sweep_resume_reports_salvage(self, capsys, tmp_path, monkeypatch):
+        """A plain re-run over a killed sweep's shards reports the
+        salvaged cells; ``--resume`` is rejected."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert main(
-            ["sweep", "--preset", "test", "--trace", "sjeng.1", "--resume"]
-        ) == 0
+        argv = ["sweep", "--preset", "test", "--trace", "sjeng.1"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "salvaged from orphan shards: 0 cells" in out
-        assert "recomputed " in out
+        assert "salvaged from killed runs: 0 cells" in out
+        assert "recomputed: 2 cells" in out
+
+        # Move the finished cells into a dead sweep's staging directory.
+        [cache_file] = tmp_path.glob("results-v*.jsonl")
+        shard_dir = tmp_path / f"{cache_file.name}.shards-{_dead_pid()}"
+        shard_dir.mkdir()
+        cache_file.rename(shard_dir / "shard-1.jsonl")
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "salvaged from killed runs: 2 cells" in out
+        assert "recomputed: 0 cells" in out
+        assert not shard_dir.exists()
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--resume"])
 
     def test_stats_reports_corrupt_line_count(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -545,3 +558,12 @@ class TestCacheCommands:
         assert payload["cache"]["cache/migrated_lines"] >= 1
         # Served from the legacy file: no new v5 file full of recomputes.
         assert legacy.exists()
+
+
+def _dead_pid() -> int:
+    """A pid guaranteed dead: a reaped child's."""
+    import subprocess
+
+    proc = subprocess.Popen(["true"])
+    proc.wait()
+    return proc.pid
