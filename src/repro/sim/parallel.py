@@ -41,9 +41,10 @@ shape of a production job runner:
   returned :class:`SweepOutcome` — the sweep itself completes.
 
 Worker processes build one :class:`~repro.workloads.suite.TraceSuite`
-each (in the pool initializer) so generated traces are reused across all
-jobs a worker executes.  All callables handed to the pool are picklable
-top-level functions.
+each (in the pool initializer), and :func:`chunk_by_trace` makes the
+cells of one trace contiguous before slicing chunks, so a trace is
+mostly generated once per sweep and reused by its cells.  All callables
+handed to the pool are picklable top-level functions.
 """
 
 from __future__ import annotations
@@ -259,6 +260,34 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 # ----------------------------------------------------------------------
 
 
+def chunk_by_trace(
+    pending: Sequence[tuple[int, SweepJob]],
+    workers: int,
+    chunksize: int | None = None,
+) -> list[list[tuple[int, SweepJob]]]:
+    """Split ``(index, job)`` pairs into pool chunks of ``chunksize`` jobs.
+
+    The default size gives each of ``workers`` about four chunks.  A
+    stable sort first makes single jobs that share a ``trace_name``
+    contiguous (groups in order of first appearance; a mix job is a
+    group of its own), then the run is sliced every ``chunksize`` jobs.
+    A group smaller than a chunk rarely straddles a boundary, so a
+    worker mostly generates each trace and its size tables once per
+    sweep; a group larger than a chunk still spreads over the workers.
+    """
+    chunk = chunksize or max(1, math.ceil(len(pending) / (workers * 4)))
+
+    def group(index: int, job: SweepJob) -> object:
+        """The job's trace group: its trace name, or its own slot for a mix."""
+        return job.trace_name if job.kind == SINGLE else (MIX, index)
+
+    rank: dict[object, int] = {}
+    for pair in pending:
+        rank.setdefault(group(*pair), len(rank))
+    ordered = sorted(pending, key=lambda pair: rank[group(*pair)])
+    return [ordered[start : start + chunk] for start in range(0, len(ordered), chunk)]
+
+
 def run_sweep(
     preset: Preset,
     jobs_list: Sequence[SweepJob],
@@ -277,6 +306,7 @@ def run_sweep(
     cache's advisory lock with ``lock_timeout`` bounding the wait) after
     the pool drains, then deleted; a sweep that raises leaves them for
     the next runner to salvage.  Keys in ``jobs_list`` must be unique.
+    Jobs reach the pool in :func:`chunk_by_trace` chunks.
 
     The sweep survives worker faults: per-job retries/timeouts are
     governed by ``policy`` (default: no retries, no timeout), a crashed
@@ -319,11 +349,7 @@ def run_sweep(
     recoveries_left = MAX_WORKER_RECOVERIES
     while remaining:
         pending = [(index, jobs_list[index]) for index in remaining]
-        chunk = chunksize or max(1, math.ceil(len(pending) / (workers * 4)))
-        chunks = [
-            pending[start : start + chunk]
-            for start in range(0, len(pending), chunk)
-        ]
+        chunks = chunk_by_trace(pending, workers, chunksize)
         try:
             with ProcessPoolExecutor(
                 max_workers=workers,

@@ -26,7 +26,13 @@ blocks of the paper's four workload categories (Table I):
     A touch-once scan far larger than any LLC; also insensitive.
 
 All randomness is a :class:`DeterministicRandom` stream seeded by the
-trace spec, so every trace is bit-reproducible.
+trace spec, so every trace is bit-reproducible.  Each access draws, in
+order, a store roll, its pattern's draws and an instruction delta; the
+stream is the same one a per-access loop of :meth:`DeterministicRandom
+.below` calls would consume.  :meth:`PatternGenerator.generate` decodes
+it in blocks of at most :data:`BLOCK_ACCESSES` accesses with NumPy, so
+transient memory stays bounded at every preset, and carries the stream
+and the walk cursors across blocks.
 """
 
 from __future__ import annotations
@@ -34,17 +40,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cache.replacement.base import DeterministicRandom
 from repro.workloads.trace import LOAD, STORE, Trace, TraceMeta
 
-_HASH_MULT = 0x9E3779B97F4A7C15
-_HASH_MASK = 0xFFFFFFFFFFFFFFFF
+#: Most accesses one generation block decodes.
+BLOCK_ACCESSES = 4096
 
+#: Most draws one access of each kind consumes: a store roll, its
+#: pattern's draws, an instruction delta.  A block draws this many per
+#: access, then resumes the stream right after the last draw it used.
+_MAX_DRAWS = {
+    "stream": 5,
+    "zipf": 5,
+    "regions": 7,
+    "frames": 5,
+    "l2fit": 3,
+    "scan": 2,
+}
 
-def _mix(value: int) -> int:
-    value = (value * _HASH_MULT) & _HASH_MASK
-    value ^= value >> 29
-    return value
+_TWO64 = float(1 << 64)
+_U1000 = np.uint64(1000)
 
 
 @dataclass(frozen=True)
@@ -66,6 +83,32 @@ class PatternParams:
     num_streams: int = 4
 
 
+def _chain(per_access: np.ndarray, count: int) -> np.ndarray:
+    """First draw of each of the first ``count`` accesses.
+
+    ``per_access[p]`` is how many draws an access whose first draw is
+    ``p`` consumes; access 0 starts at 0 and each later one where the
+    previous ends.  Pointer doubling follows the chain in log2(count)
+    gathers: after round ``k``, ``hop`` jumps ``2**k`` accesses.
+    """
+    hop = np.arange(len(per_access)) + per_access
+    # Only an access past the first ``count`` can end beyond the buffer.
+    np.minimum(hop, len(per_access) - 1, out=hop)
+    starts = np.zeros(1, dtype=np.int64)
+    while len(starts) < count:
+        starts = np.concatenate((starts, hop[starts]))
+        hop = hop[hop]
+    return starts[:count]
+
+
+def _group(ids: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stable sort of ``ids`` (values in ``[0, groups)``), with each
+    value's count and first slot in the sorted order."""
+    order = np.argsort(ids, kind="stable")
+    counts = np.bincount(ids, minlength=groups)
+    return order, counts, np.cumsum(counts) - counts
+
+
 class PatternGenerator:
     """Generates the address stream for one pattern specification."""
 
@@ -74,24 +117,23 @@ class PatternGenerator:
             raise ValueError(
                 f"footprint_lines must be positive, got {params.footprint_lines}"
             )
-        self.params = params
-        self.rng = DeterministicRandom(seed * 2654435761 + 12345)
-        self._seed = seed
-        builders = {
-            "stream": self._next_stream,
-            "zipf": self._next_zipf,
-            "regions": self._next_regions,
-            "frames": self._next_frames,
-            "l2fit": self._next_l2fit,
-            "scan": self._next_scan,
-        }
-        try:
-            self._next = builders[params.kind]
-        except KeyError:
-            known = ", ".join(sorted(builders))
+        if params.kind not in _MAX_DRAWS:
+            known = ", ".join(sorted(_MAX_DRAWS))
             raise ValueError(
                 f"unknown pattern kind {params.kind!r}; known: {known}"
-            ) from None
+            )
+        if params.hot_fraction > 0 and params.hot_lines <= 0:
+            raise ValueError(
+                "hot_lines must be positive when hot_fraction > 0, "
+                f"got {params.hot_lines}"
+            )
+        self.params = params
+        self.rng = DeterministicRandom(seed * 2654435761 + 12345)
+        # Place the pattern's line space at a per-trace base address:
+        # page structure (line // 64) stays intact, so the stream
+        # prefetcher sees real sequential pages, while different traces
+        # land in different address ranges.
+        self._base = (seed & 0xFFFF) * (1 << 24)
         self._init_state()
 
     def _init_state(self) -> None:
@@ -102,6 +144,8 @@ class PatternGenerator:
         self._cursors = [footprint * i // n for i in range(n)]
         self._scan_pos = 0
         self._log_footprint = math.log(max(2, footprint))
+        self._hot_permille = params.hot_fraction * 1000
+        self._touch_permille = (params.hot_fraction + 0.15) * 1000
         # Region layout for the "regions" kind: up to 32 regions.  Small
         # footprints get fewer regions rather than degenerate (or
         # negative) sizes.
@@ -117,93 +161,9 @@ class PatternGenerator:
             share = max(1, share)
             sizes.append(share)
             remaining -= share
-        starts = []
-        offset = 0
-        for size in sizes:
-            starts.append(offset)
-            offset += size
-        self._regions = list(zip(starts, sizes))
+        self._region_sizes = np.array(sizes, dtype=np.uint64)
+        self._region_starts = np.cumsum([0] + sizes[:-1], dtype=np.int64)
         self._region_cursors = [0] * region_count
-
-    # ------------------------------------------------------------------
-    # Pattern steppers: each returns the next line address.
-    # ------------------------------------------------------------------
-
-    def _hot_line(self) -> int:
-        """A line from the hot subset, mildly skewed toward its head."""
-        params = self.params
-        rank = min(
-            self.rng.below(params.hot_lines),
-            self.rng.below(params.hot_lines),
-        )
-        return self._map(params.footprint_lines + rank)
-
-    def _next_stream(self) -> int:
-        params = self.params
-        rng = self.rng
-        if rng.below(1000) < params.hot_fraction * 1000:
-            return self._hot_line()
-        stream = rng.below(len(self._cursors))
-        pos = self._cursors[stream]
-        self._cursors[stream] = (pos + 1) % params.footprint_lines
-        return self._map(pos)
-
-    def _next_zipf(self) -> int:
-        params = self.params
-        rng = self.rng
-        if rng.below(1000) < params.hot_fraction * 1000:
-            return self._hot_line()
-        # Log-uniform rank: P(rank) ~ 1/rank, i.e. Zipf with alpha = 1.
-        u = rng.next() / float(1 << 64)
-        rank = int(math.exp(u * self._log_footprint))
-        if rank >= params.footprint_lines:
-            rank = params.footprint_lines - 1
-        return self._map(rank)
-
-    def _next_regions(self) -> int:
-        params = self.params
-        rng = self.rng
-        if rng.below(1000) < params.hot_fraction * 1000:
-            return self._hot_line()
-        # Skewed region choice: min of two uniforms favours early regions.
-        index = min(rng.below(len(self._regions)), rng.below(len(self._regions)))
-        start, size = self._regions[index]
-        cursor = self._region_cursors[index]
-        if rng.below(8) == 0:
-            cursor = rng.below(size)  # random jump within the document
-        self._region_cursors[index] = (cursor + 1) % size
-        return self._map(start + cursor)
-
-    def _next_frames(self) -> int:
-        params = self.params
-        rng = self.rng
-        roll = rng.below(1000)
-        if roll < params.hot_fraction * 1000:
-            return self._hot_line()
-        if roll < (params.hot_fraction + 0.15) * 1000:
-            # Secondary random touch (textures, metadata).
-            return self._map(rng.below(params.footprint_lines))
-        stream = rng.below(len(self._cursors))
-        pos = self._cursors[stream]
-        self._cursors[stream] = (pos + 1) % params.footprint_lines
-        return self._map(pos)
-
-    def _next_l2fit(self) -> int:
-        return self._map(self.rng.below(self.params.footprint_lines))
-
-    def _next_scan(self) -> int:
-        pos = self._scan_pos
-        self._scan_pos += 1
-        return self._map(pos)
-
-    def _map(self, line: int) -> int:
-        """Place the pattern's line space at a per-trace base address.
-
-        Keeps page structure (line // 64) intact so the stream prefetcher
-        sees real sequential pages, while different traces land in
-        different address ranges.
-        """
-        return (self._seed & 0xFFFF) * (1 << 24) + line
 
     # ------------------------------------------------------------------
     # Trace assembly
@@ -214,18 +174,156 @@ class PatternGenerator:
         if length <= 0:
             raise ValueError(f"length must be positive, got {length}")
         trace = Trace(meta)
-        rng = self.rng
-        write_permille = int(self.params.write_fraction * 1000)
+        for done in range(0, length, BLOCK_ACCESSES):
+            kinds, addrs, deltas = self._block(min(BLOCK_ACCESSES, length - done))
+            trace.kinds.frombytes(kinds.astype(np.int8).tobytes())
+            trace.addrs.frombytes(addrs.astype(np.int64).tobytes())
+            trace.deltas.frombytes(deltas.astype(np.intc).tobytes())
+        return trace
+
+    def _block(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Kinds, addresses and deltas of the next ``count`` accesses."""
+        params = self.params
+        max_draws = _MAX_DRAWS[params.kind]
+        draws = self.rng.bulk(count * max_draws)
+        per_access = 2 + self._pattern_draws(draws[1:], len(draws) - max_draws + 1)
+        if isinstance(per_access, int):
+            starts = np.arange(count, dtype=np.int64) * per_access
+            ends = starts + per_access
+        else:
+            starts = _chain(per_access, count)
+            ends = starts + per_access[starts]
+        self.rng.seek_after(int(draws[ends[-1] - 1]))
+        write_permille = int(params.write_fraction * 1000)
+        kinds = np.where(draws[starts] % _U1000 < write_permille, STORE, LOAD)
         # Uniform deltas in [1, 2*mean-1] have the requested mean and are
         # much cheaper to sample than geometric deltas.
-        delta_span = max(1, int(2 * self.params.instrs_per_access - 1))
-        kinds = trace.kinds
-        addrs = trace.addrs
-        deltas = trace.deltas
-        next_addr = self._next
-        for _ in range(length):
-            kind = STORE if rng.below(1000) < write_permille else LOAD
-            kinds.append(kind)
-            addrs.append(next_addr())
-            deltas.append(1 + rng.below(delta_span))
-        return trace
+        delta_span = np.uint64(max(1, int(2 * params.instrs_per_access - 1)))
+        deltas = 1 + draws[ends - 1] % delta_span
+        addrs = self._base + self._lines(draws, starts + 1)
+        return kinds, addrs, deltas
+
+    # ------------------------------------------------------------------
+    # Pattern decoders
+    # ------------------------------------------------------------------
+
+    def _pattern_draws(self, draws: np.ndarray, count: int) -> np.ndarray | int:
+        """Pattern draws of an access whose pattern starts at each of
+        ``draws[:count]`` (an int when every access draws the same)."""
+        kind = self.params.kind
+        if kind == "scan":
+            return 0
+        if kind == "l2fit":
+            return 1
+        hot = draws[:count] % _U1000 < self._hot_permille
+        if kind == "regions":
+            # Roll, two region picks, a jump roll; 1 in 8 jumps draws
+            # its target.  Hot accesses draw the roll and two ranks.
+            return np.where(hot, 3, 4 + (draws[3 : count + 3] % np.uint64(8) == 0))
+        # Roll, then two hot ranks or one pick.
+        return 2 + hot
+
+    def _lines(self, draws: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """Line numbers of accesses whose pattern draws start at ``first``."""
+        params = self.params
+        kind = params.kind
+        footprint = np.uint64(params.footprint_lines)
+        if kind == "scan":
+            lines = np.arange(len(first), dtype=np.int64) + self._scan_pos
+            self._scan_pos += len(first)
+            return lines
+        if kind == "l2fit":
+            return draws[first] % footprint
+        roll = draws[first] % _U1000
+        hot = roll < self._hot_permille
+        lines = np.empty(len(first), dtype=np.uint64)
+        picked = first[hot]
+        if picked.size:
+            # Hot ranks: the min of two uniforms skews toward the head.
+            hot_lines = np.uint64(params.hot_lines)
+            lines[hot] = footprint + np.minimum(
+                draws[picked + 1] % hot_lines, draws[picked + 2] % hot_lines
+            )
+        cold = ~hot
+        picked = first[cold]
+        if kind == "stream":
+            lines[cold] = self._walk_streams(draws[picked + 1])
+        elif kind == "zipf":
+            lines[cold] = self._zipf_ranks(draws[picked + 1])
+        elif kind == "regions":
+            lines[cold] = self._walk_regions(draws, picked)
+        else:  # frames
+            # Secondary random touches (textures, metadata) between the
+            # hot set and the frame streams.
+            touch = roll[cold] < self._touch_permille
+            cold_lines = np.empty(picked.size, dtype=np.uint64)
+            cold_lines[touch] = draws[picked[touch] + 1] % footprint
+            cold_lines[~touch] = self._walk_streams(draws[picked[~touch] + 1])
+            lines[cold] = cold_lines
+        return lines
+
+    def _walk_streams(self, picks: np.ndarray) -> np.ndarray:
+        """Positions of sequential-stream accesses; ``picks`` choose streams.
+
+        Each stream's k-th access in the block reads its cursor plus k.
+        """
+        footprint = self.params.footprint_lines
+        streams = len(self._cursors)
+        stream = (picks % np.uint64(streams)).astype(np.int64)
+        order, counts, first = _group(stream, streams)
+        rank = np.empty(len(stream), dtype=np.int64)
+        rank[order] = np.arange(len(stream)) - first[stream[order]]
+        cursors = np.array(self._cursors, dtype=np.int64)
+        self._cursors = ((cursors + counts) % footprint).tolist()
+        return ((cursors[stream] + rank) % footprint).astype(np.uint64)
+
+    def _zipf_ranks(self, values: np.ndarray) -> np.ndarray:
+        """Log-uniform ranks: P(rank) ~ 1/rank, i.e. Zipf with alpha = 1.
+
+        Computed on Python floats with :func:`math.exp`, so a trace never
+        depends on NumPy's SIMD ``exp`` or its ``uint64`` rounding.
+        """
+        scale = self._log_footprint
+        exp = math.exp
+        ranks = np.array(
+            [int(exp(value / _TWO64 * scale)) for value in values.tolist()],
+            dtype=np.uint64,
+        )
+        return np.minimum(ranks, np.uint64(self.params.footprint_lines - 1))
+
+    def _walk_regions(self, draws: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """Positions of region accesses whose pattern draws start at ``first``.
+
+        A region's cursor advances by one per access unless the access
+        jumps (1 in 8) to a random line of the region.  Grouped by
+        region, each access reads the latest jump target in its group
+        plus its distance from it, or the carried cursor plus its rank
+        when the group has not jumped yet: a segmented scan.
+        """
+        regions = len(self._region_cursors)
+        # Skewed region choice: min of two uniforms favours early regions.
+        index = np.minimum(
+            draws[first + 1] % np.uint64(regions), draws[first + 2] % np.uint64(regions)
+        ).astype(np.int64)
+        jumps = draws[first + 3] % np.uint64(8) == 0
+        targets = (draws[first + 4] % self._region_sizes[index]).astype(np.int64)
+        order, counts, group_first = _group(index, regions)
+        region = index[order]
+        slot = np.arange(len(order))
+        # The latest jump at or before each slot; one before the slot's
+        # group starts belongs to another region.
+        last_jump = np.maximum.accumulate(np.where(jumps[order], slot, -1))
+        start = group_first[region]
+        carried = np.array(self._region_cursors, dtype=np.int64)
+        sizes = self._region_sizes.astype(np.int64)
+        cursor = np.where(
+            last_jump >= start,
+            targets[order][last_jump] + slot - last_jump,
+            carried[region] + slot - start,
+        ) % sizes[region]
+        used = counts > 0
+        carried[used] = (cursor[(group_first + counts - 1)[used]] + 1) % sizes[used]
+        self._region_cursors = carried.tolist()
+        positions = np.empty(len(order), dtype=np.int64)
+        positions[order] = self._region_starts[region] + cursor
+        return positions.astype(np.uint64)

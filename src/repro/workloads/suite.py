@@ -301,7 +301,6 @@ class TraceSuite:
             raise ValueError(f"length must be positive, got {length}")
         self.reference_llc_lines = reference_llc_lines
         self.length = length
-        self._traces: dict[str, Trace] = {}
 
     def spec(self, name: str) -> TraceSpec:
         """Look up a trace spec by name."""
@@ -342,17 +341,12 @@ class TraceSuite:
     def trace(self, name: str) -> Trace:
         """Generate (or fetch cached) the trace for ``name``.
 
-        The per-instance dict keeps the historical object-identity
-        guarantee (two calls on one suite return the same ``Trace``);
-        the process-wide :func:`~repro.workloads.tracecache.process_cache`
-        behind it shares generation across suite *instances* — the
-        runner's, each parallel worker's, and every perf-bench
-        measurement in the same process.
+        The process-wide :func:`~repro.workloads.tracecache.process_cache`
+        is the only thing that keeps traces.  It shares generation
+        across calls and across suite *instances* — the runner's, each
+        parallel worker's, and every perf-bench measurement in the same
+        process — and a zero-entry cache retains nothing.
         """
-        cached = self._traces.get(name)
-        if cached is not None:
-            return cached
-
         def generate() -> Trace:
             spec = self.spec(name)
             meta = TraceMeta(
@@ -370,9 +364,7 @@ class TraceSuite:
             generator = PatternGenerator(self.pattern_params(spec), spec.seed)
             return generator.generate(meta, self.length)
 
-        trace = process_cache().get(self._cache_key("trace", name), generate)
-        self._traces[name] = trace
-        return trace
+        return process_cache().get(self._cache_key("trace", name), generate)
 
     def data_model(self, name: str) -> LineDataModel:
         """Fresh data model (palette + write evolution) for one run.

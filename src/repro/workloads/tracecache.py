@@ -32,11 +32,16 @@ sanctioned exception is the ring-base dict inside a ``"sizes"`` entry,
 whose lazy inserts are idempotent (each entry is a pure function of the
 address — see :meth:`LineDataModel.adopt_size_tables`).
 
-The cache is deliberately *not* shared across processes: worker
-processes each hold their own (the pool initializer builds one suite
-per worker, so per-worker reuse is exactly what parallel sweeps need),
-and nothing here requires locking.  ``repro stats`` surfaces the
-``trace_cache/hits|misses|evictions`` counters and the
+The cache is the only owner of a trace: a suite keeps no reference of
+its own, so a zero-entry cache lets every trace go as soon as its
+caller drops it.
+
+The cache is deliberately *not* shared across processes, and nothing
+here requires locking.  Worker processes each hold their own; the pool
+makes the cells of one trace contiguous before it slices chunks
+(:func:`~repro.sim.parallel.chunk_by_trace`), so a trace seldom reaches
+two workers and per-worker reuse is all it needs.  ``repro stats``
+surfaces the ``trace_cache/hits|misses|evictions`` counters and the
 ``trace/load_seconds`` timer from :meth:`TraceCache.snapshot`.
 """
 

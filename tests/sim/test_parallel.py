@@ -10,13 +10,23 @@ byte-identical merged cache files, on the first pass and on a second
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.registry import merge_observations
 from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB, TEST
 from repro.sim.experiment import ExperimentRunner
-from repro.sim.parallel import JOBS_ENV, resolve_jobs
+from repro.sim.parallel import (
+    JOBS_ENV,
+    MIX,
+    SINGLE,
+    SweepJob,
+    chunk_by_trace,
+    resolve_jobs,
+)
 from repro.workloads.mixes import build_mixes
 
 #: A small but heterogeneous sweep: four traces x two machines.
@@ -168,3 +178,116 @@ class TestResolveJobs:
         monkeypatch.setenv(JOBS_ENV, "many")
         with pytest.raises(ValueError, match=JOBS_ENV):
             resolve_jobs(None)
+
+
+MIXES = build_mixes(count=4)
+
+
+def _single(trace_name, machine=BASELINE_2MB):
+    return SweepJob(
+        key=trace_name, kind=SINGLE, machine=machine, trace_name=trace_name
+    )
+
+
+class TestChunkByTrace:
+    """Pool chunks keep a trace's cells contiguous, then slice evenly."""
+
+    @staticmethod
+    def _check(pending, chunks, chunk):
+        flat = [pair for part in chunks for pair in part]
+        assert sorted(index for index, _ in flat) == sorted(
+            index for index, _ in pending
+        )
+        assert all(len(part) == chunk for part in chunks[:-1])
+        assert 0 < len(chunks[-1]) <= chunk
+        # Each trace's cells form one run of the flattened order, and a
+        # group keeps submission order.
+        names = [job.trace_name for _, job in flat if job.kind == SINGLE]
+        runs = [name for i, name in enumerate(names) if i == 0 or name != names[i - 1]]
+        assert len(runs) == len(set(runs))
+        for name in set(names):
+            members = [index for index, job in flat if job.trace_name == name]
+            assert members == sorted(members)
+
+    @staticmethod
+    def _owners(chunks):
+        owner = {}
+        for number, part in enumerate(chunks):
+            for _, job in part:
+                owner.setdefault(job.trace_name, set()).add(number)
+        return owner
+
+    @pytest.mark.parametrize("chunk", (1, 2, 3, 7, 100))
+    def test_machine_major_jobs_group_by_trace(self, chunk):
+        names = [f"t{i}" for i in range(9)]
+        jobs = [
+            _single(name, machine)
+            for machine in (BASELINE_2MB, BASE_VICTIM_2MB)
+            for name in names
+        ]
+        pending = list(enumerate(jobs))
+        chunks = chunk_by_trace(pending, workers=2, chunksize=chunk)
+        self._check(pending, chunks, chunk)
+        # Groups follow first appearance; a group keeps submission order.
+        flat = [index for part in chunks for index, _ in part]
+        assert flat == [i + offset for i in range(9) for offset in (0, 9)]
+        if chunk % 2 == 0:
+            # Two-cell groups never straddle an even chunk boundary.
+            assert all(len(owners) == 1 for owners in self._owners(chunks).values())
+
+    @given(
+        machines=st.lists(st.integers(1, 5), min_size=1, max_size=12),
+        chunk=st.integers(1, 12),
+        mixes=st.integers(0, 4),
+        seed=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_groups_are_contiguous_and_chunks_even(self, machines, chunk, mixes, seed):
+        jobs = [
+            _single(f"t{trace}", machine)
+            for trace, count in enumerate(machines)
+            for machine in (BASELINE_2MB,) * count
+        ]
+        jobs += [
+            SweepJob(key=f"mix{i}", kind=MIX, machine=BASELINE_2MB, mix=MIXES[i])
+            for i in range(mixes)
+        ]
+        seed.shuffle(jobs)
+        pending = [(index * 3, job) for index, job in enumerate(jobs)]
+        chunks = chunk_by_trace(pending, workers=2, chunksize=chunk)
+        self._check(pending, chunks, chunk)
+        # A contiguous group touches no more chunks than its size forces.
+        owners = self._owners(chunks)
+        for trace, size in enumerate(machines):
+            assert len(owners[f"t{trace}"]) <= math.ceil(size / chunk) + 1
+
+    def test_sweep_cold_shape_generates_each_trace_once(self):
+        # 48 traces x 2 machines at two workers: 12-job chunks of whole
+        # 2-cell groups, so every trace reaches exactly one worker.
+        names = [f"t{i}" for i in range(48)]
+        jobs = [
+            _single(name, machine)
+            for machine in (BASELINE_2MB, BASE_VICTIM_2MB)
+            for name in names
+        ]
+        chunks = chunk_by_trace(list(enumerate(jobs)), workers=2)
+        assert [len(part) for part in chunks] == [12] * 8
+        assert all(len(owners) == 1 for owners in self._owners(chunks).values())
+
+    def test_one_trace_many_machines_spreads_over_workers(self):
+        # ``repro compare --trace X --jobs 2`` prewarms 5 machines of one
+        # trace; its cells must still reach more than one worker.
+        pending = list(enumerate([_single("big", BASELINE_2MB)] * 5))
+        chunks = chunk_by_trace(pending, workers=2)
+        assert len(chunks) > 1
+        self._check(pending, chunks, len(chunks[0]))
+
+    def test_mix_jobs_are_their_own_groups(self):
+        mix = [
+            SweepJob(key=f"mix{i}", kind=MIX, machine=BASELINE_2MB, mix=MIXES[i])
+            for i in range(2)
+        ]
+        jobs = [mix[0], _single("a"), mix[1], _single("a", BASE_VICTIM_2MB)]
+        chunks = chunk_by_trace(list(enumerate(jobs)), workers=1, chunksize=4)
+        # The two singles of "a" close up; the mixes keep their own slots.
+        assert [index for index, _ in chunks[0]] == [0, 1, 3, 2]

@@ -91,6 +91,22 @@ class TestGenerators:
         with pytest.raises(ValueError):
             PatternGenerator(PatternParams(kind="zipf", footprint_lines=0), 1)
 
+    @pytest.mark.parametrize("hot_lines", (0, -4))
+    def test_empty_hot_set_rejected_when_used(self, hot_lines):
+        with pytest.raises(ValueError, match="hot_lines"):
+            PatternGenerator(
+                PatternParams(
+                    kind="zipf", footprint_lines=16, hot_lines=hot_lines,
+                    hot_fraction=0.2,
+                ),
+                1,
+            )
+        # Without hot accesses the hot set is never drawn from.
+        trace = make_trace(
+            footprint=16, length=50, hot_lines=hot_lines, hot_fraction=0.0
+        )
+        assert len(trace) == 50
+
     def test_invalid_length_rejected(self):
         params = PatternParams(kind="zipf", footprint_lines=16)
         generator = PatternGenerator(params, 1)

@@ -1,5 +1,8 @@
 """Tests for the bounded per-process trace cache (sweep-wide reuse)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.workloads import tracecache
@@ -204,12 +207,23 @@ class TestSuiteIntegration:
         assert len(long.trace("mcf.1")) == 800
         assert process_cache().snapshot()["misses"] == 2
 
-    def test_instance_cache_still_serves_repeat_calls(self):
+    def test_repeat_calls_are_process_cache_hits(self):
         suite = TraceSuite(reference_llc_lines=512, length=400)
         trace = suite.trace("mcf.1")
         assert suite.trace("mcf.1") is trace
-        # The second call never reached the process cache (L1 hit).
-        assert process_cache().snapshot()["hits"] == 0
+        snap = process_cache().snapshot()
+        assert (snap["misses"], snap["hits"]) == (1, 1)
+
+    def test_zero_entry_cache_retains_no_trace(self, monkeypatch):
+        monkeypatch.setenv(tracecache.MAX_ENTRIES_ENV, "0")
+        reset_process_cache()
+        suite = TraceSuite(reference_llc_lines=512, length=400)
+        trace = suite.trace("mcf.1")
+        ref = weakref.ref(trace)
+        del trace
+        gc.collect()
+        assert ref() is None
+        assert len(process_cache()) == 0
 
     def test_adopted_size_tables_match_uncached_model(self):
         suite = TraceSuite(reference_llc_lines=512, length=400)
