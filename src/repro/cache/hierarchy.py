@@ -13,6 +13,10 @@ Writebacks are modelled explicitly: dirty L1 victims merge into the L2,
 dirty L2 victims become LLC ``WRITEBACK`` accesses carrying the line's
 current compressed size.  A multi-stream prefetcher (Section V) observes
 demand L2 misses and injects ``PREFETCH`` fills into the LLC.
+
+L1 and L2 are LRU, kept as the order of each set's lookup dict (see
+:mod:`repro.cache.setassoc`): the inlined probes and fills below move a
+touched key to the end and evict the first key.
 """
 
 from __future__ import annotations
@@ -187,19 +191,14 @@ class CacheHierarchy:
         batch engine (:mod:`repro.sim.batch`) inlines this miss path.
         """
         stats = self.stats
-        l1 = self.l1
         l2 = self.l2
-        # Inlined l2.probe (a demand read never dirties the L2 line).
-        cset = l2._sets[addr & l2._set_mask]
-        way = cset.lookup.get(addr)
+        # Inlined l2.probe (a demand read never dirties the L2 line).  The
+        # L2 is always LRU (see __init__): popping the key and putting it
+        # back moves the line to the MRU end.
+        lookup = l2._sets[addr & l2._set_mask].lookup
+        way = lookup.pop(addr, None)
         if way is not None:
-            if l2._lru_inline:
-                index = cset.index
-                clock = l2.clocks[index] + 1
-                l2.clocks[index] = clock
-                l2.stamps[cset.base + way] = clock
-            else:
-                l2.policy.on_hit(cset.policy_state, way)
+            lookup[addr] = way
             l2.stat_hits += 1
             stats.l2_hits += 1
             self._fill_l1(addr, is_write)
@@ -293,25 +292,24 @@ class CacheHierarchy:
 
     def _fill_l1(self, addr: int, is_write: bool) -> None:
         # l1.fill, inlined and specialised: the L1 is always LRU (see
-        # __init__), every caller has already established the L1 miss (so
+        # __init__), so the victim is the first key of the set's lookup
+        # dict; every caller has already established the L1 miss (so
         # the fill-of-present-line protocol check cannot fire), and the
         # victim travels as two locals instead of an EvictedLine.
         l1 = self.l1
         cset = l1._sets[addr & l1._set_mask]
+        lookup = cset.lookup
         valid = l1.valid
         tags = l1.tags
         dirty_bits = l1.dirty
-        stamps = l1.stamps
         base = cset.base
         ways = l1.ways
         victim_dirty = False
         victim_addr = 0
         if cset.valid_count == ways:
-            seg = stamps[base : base + ways]
-            slot = base + seg.index(min(seg))
-            victim_addr = tags[slot]
+            victim_addr = next(iter(lookup))
+            slot = base + lookup.pop(victim_addr)
             victim_dirty = dirty_bits[slot]
-            del cset.lookup[victim_addr]
             l1.stat_evictions += 1
             if victim_dirty:
                 l1.stat_writebacks += 1
@@ -321,11 +319,7 @@ class CacheHierarchy:
         tags[slot] = addr
         valid[slot] = True
         dirty_bits[slot] = is_write
-        cset.lookup[addr] = slot - base
-        index = cset.index
-        clock = l1.clocks[index] + 1
-        l1.clocks[index] = clock
-        stamps[slot] = clock
+        lookup[addr] = slot - base
         log = self._l1_log
         if log is not None:
             log.append(slot)
@@ -340,39 +334,29 @@ class CacheHierarchy:
         # always-LRU L2, caller-established miss, victim kept in locals.
         l2 = self.l2
         cset = l2._sets[addr & l2._set_mask]
-        valid = l2.valid
-        tags = l2.tags
+        lookup = cset.lookup
         dirty_bits = l2.dirty
-        stamps = l2.stamps
-        clocks = l2.clocks
         base = cset.base
         ways = l2.ways
-        index = cset.index
         if cset.valid_count < ways:
+            valid = l2.valid
             slot = valid.index(False, base, base + ways)
             cset.valid_count += 1
-            tags[slot] = addr
+            l2.tags[slot] = addr
             valid[slot] = True
             dirty_bits[slot] = dirty
-            cset.lookup[addr] = slot - base
-            clock = clocks[index] + 1
-            clocks[index] = clock
-            stamps[slot] = clock
+            lookup[addr] = slot - base
             return
-        seg = stamps[base : base + ways]
-        slot = base + seg.index(min(seg))
-        victim_addr = tags[slot]
+        victim_addr = next(iter(lookup))
+        way = lookup.pop(victim_addr)
+        slot = base + way
         victim_dirty = dirty_bits[slot]
-        del cset.lookup[victim_addr]
         l2.stat_evictions += 1
         if victim_dirty:
             l2.stat_writebacks += 1
-        tags[slot] = addr
+        l2.tags[slot] = addr
         dirty_bits[slot] = dirty
-        cset.lookup[addr] = slot - base
-        clock = clocks[index] + 1
-        clocks[index] = clock
-        stamps[slot] = clock
+        lookup[addr] = way
 
         # L1 must not outlive its L2 copy (inclusive pair).  l1.invalidate,
         # inlined (always-LRU L1, same as _fill_l1).
@@ -386,7 +370,6 @@ class CacheHierarchy:
             l1.valid[l1slot] = False
             l1.dirty[l1slot] = False
             l1set.valid_count -= 1
-            l1.stamps[l1slot] = 0
             log = self._l1_log
             if log is not None:
                 log.append(l1slot)
@@ -482,7 +465,6 @@ class CacheHierarchy:
                 l1.valid[slot] = False
                 l1.dirty[slot] = False
                 cset.valid_count -= 1
-                l1.stamps[slot] = 0
                 if log is not None:
                     log.append(slot)
             cset = l2._sets[addr & l2._set_mask]
@@ -494,7 +476,6 @@ class CacheHierarchy:
                 l2.valid[slot] = False
                 l2.dirty[slot] = False
                 cset.valid_count -= 1
-                l2.stamps[slot] = 0
             if present:
                 back_invalidations += 1
             if dirty and not wrote_back:

@@ -10,11 +10,13 @@ The cache is line-granular and trace-driven: addresses are line numbers
 update on hit) from ``fill`` (allocation + victim eviction) so a hierarchy
 can thread misses through lower levels before filling.
 
-Storage layout (PR 6): one flat column per field across *all* sets —
-``tags``/``valid``/``dirty`` always, plus ``stamps``/``clocks`` for the
-inline LRU policy and ``referenced``/``hands`` for the inline NRU policy.
-Way ``w`` of set ``s`` lives at index ``s * ways + w``; each
-:class:`_Set` handle carries that base offset next to its lookup dict.
+Storage layout: one flat column per field across *all* sets —
+``tags``/``valid``/``dirty`` always, plus ``referenced``/``hands`` for
+the inline NRU policy.  Way ``w`` of set ``s`` lives at index
+``s * ways + w``; each :class:`_Set` handle carries that base offset
+next to its lookup dict.  The inline LRU policy needs no column: a
+touch moves the key to the end of the set's lookup dict and a fill
+appends it, so the first key is the LRU victim, found in O(1).
 The columns are plain Python lists, deliberately: CPython indexes lists
 2-4x faster than ``array.array``/NumPy scalars, and the scalar code
 paths touch these columns on every access, while the batch engine's vectorised
@@ -50,11 +52,12 @@ class _Set:
         self.index = index
         #: Flat-column offset of way 0: ``index * ways``.
         self.base = base
-        #: addr -> way, kept in sync with tags/valid for O(1) lookup.
+        #: addr -> way, kept in sync with tags/valid for O(1) lookup;
+        #: least recently used first under the inline LRU policy.
         self.lookup: dict[int, int] = {}
         #: Opaque per-set state for non-inline policies; None for the
-        #: inline LRU/NRU paths, whose state lives in the flat columns
-        #: (a single source of truth — a stale reader fails loudly).
+        #: inline LRU/NRU paths, whose state lives in the lookup order or
+        #: the flat columns (a stale reader fails loudly).
         self.policy_state = policy_state
         self.valid_count = 0
 
@@ -88,10 +91,6 @@ class SetAssociativeCache:
         self.tags = [0] * total
         self.valid = [False] * total
         self.dirty = [False] * total
-        #: LRU columns (inline path only): per-way timestamps and a
-        #: per-set clock.
-        self.stamps = [0] * total if self._lru_inline else None
-        self.clocks = [0] * num_sets if self._lru_inline else None
         #: NRU columns (inline path only): per-way referenced bits and a
         #: per-set rotating hand.
         self.referenced = [False] * total if self._nru_inline else None
@@ -117,15 +116,15 @@ class SetAssociativeCache:
     def probe(self, addr: int, is_write: bool = False) -> bool:
         """Look up ``addr``; update policy and dirty bit on hit."""
         cset = self._sets[addr & self._set_mask]
-        way = cset.lookup.get(addr)
+        lookup = cset.lookup
+        way = lookup.get(addr)
         if way is None:
             self.stat_misses += 1
             return False
         if self._lru_inline:
-            index = cset.index
-            clock = self.clocks[index] + 1
-            self.clocks[index] = clock
-            self.stamps[cset.base + way] = clock
+            # Move to the MRU end of the recency order.
+            del lookup[addr]
+            lookup[addr] = way
         elif self._nru_inline:
             self.referenced[cset.base + way] = True
         else:
@@ -154,10 +153,8 @@ class SetAssociativeCache:
         victim: EvictedLine | None = None
         if cset.valid_count == ways:
             if self._lru_inline:
-                # Inline LRUPolicy.choose_victim: oldest stamp, first
-                # way on ties (index() returns the first minimum).
-                seg = self.stamps[base : base + ways]
-                way = seg.index(min(seg))
+                # Inline LRU victim: the first key is the least recent.
+                way = lookup[next(iter(lookup))]
             elif self._nru_inline:
                 # Inline NRUPolicy.choose_victim: first clear referenced
                 # bit from the rotating hand, with the classic reset when
@@ -190,15 +187,11 @@ class SetAssociativeCache:
         tags[slot] = addr
         valid[slot] = True
         dirty_bits[slot] = dirty
+        # Appending the key makes it the most recent (inline LRU).
         lookup[addr] = way
-        if self._lru_inline:
-            index = cset.index
-            clock = self.clocks[index] + 1
-            self.clocks[index] = clock
-            self.stamps[slot] = clock
-        elif self._nru_inline:
+        if self._nru_inline:
             self.referenced[slot] = True
-        else:
+        elif not self._lru_inline:
             self.policy.on_fill(cset.policy_state, way)
         return victim
 
@@ -220,13 +213,11 @@ class SetAssociativeCache:
         self.valid[slot] = False
         self.dirty[slot] = False
         cset.valid_count -= 1
-        if self._lru_inline:
-            # Inlined LRUPolicy.on_invalidate: free ways age to stamp 0.
-            self.stamps[slot] = 0
-        elif self._nru_inline:
+        # Inline LRU needs nothing more: the pop above left the order.
+        if self._nru_inline:
             # Inlined NRUPolicy.on_invalidate.
             self.referenced[slot] = False
-        else:
+        elif not self._lru_inline:
             self.policy.on_invalidate(cset.policy_state, way)
         return True, was_dirty
 

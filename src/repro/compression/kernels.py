@@ -8,10 +8,13 @@ line bytes, so — following the "take compression off the critical path"
 argument of Pekhimenko et al. — this module recomputes them in bulk:
 
 * :func:`bdi_size_bytes` / :func:`fpc_size_bytes` /
-  :func:`cpack_size_bytes` compute compressed sizes for a whole matrix
-  of 64-byte lines in one vectorised pass, byte-identical to the scalar
-  codecs in :mod:`repro.compression.bdi`/``fpc``/``cpack`` (enforced by
-  ``tests/compression/test_kernels.py``);
+  :func:`cpack_size_bytes` / :func:`zero_size_bytes` compute compressed
+  sizes for a whole matrix of 64-byte lines in one vectorised pass,
+  byte-identical to the scalar codecs in
+  :mod:`repro.compression.bdi`/``fpc``/``cpack``/``zero`` (enforced by
+  ``tests/compression/test_kernels.py``), and
+  :func:`sc2_trained_size_bytes` does the same for SC2 trained on the
+  matrix itself;
 * :func:`ring_bases` evaluates the data model's address hash over the
   distinct addresses of a trace's v3 columnar address array, so the
   per-address size memo can be primed in one pass at load time.
@@ -25,6 +28,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from repro.compression import sc2
 
 #: Line size the kernels are specialised for (the paper's 64B lines).
 LINE_BYTES = 64
@@ -190,14 +195,44 @@ def cpack_size_bytes(lines: "np.ndarray") -> "np.ndarray":
     return np.where(size >= LINE_BYTES, LINE_BYTES, size)
 
 
-#: Codec name -> vectorised size kernel, for the codecs that have one
-#: (SC2 trains on cache contents and the zero codec is trivial; both
-#: stay scalar in repro.compression.stats).
+def zero_size_bytes(lines: "np.ndarray") -> "np.ndarray":
+    """Zero-codec size in bytes per row: 1 for an all-zero line, else 64."""
+    return np.where(lines.any(axis=1), LINE_BYTES, 1)
+
+
+def sc2_trained_size_bytes(lines: "np.ndarray") -> "np.ndarray":
+    """SC2 size per row after ``SC2Compressor.train`` on all the rows.
+
+    The words are counted here and ranked as ``Counter.most_common``
+    ranks them (ties by first occurrence); :func:`sc2.codebook_bits`
+    turns the top of that ranking into code bits, and every other word
+    escapes.
+    """
+    words = lines.view("<u4")
+    uniq, first, inverse, counts = np.unique(
+        words.ravel(), return_index=True, return_inverse=True, return_counts=True
+    )
+    book = np.lexsort((first, -counts))[:sc2.DEFAULT_CODEBOOK_SIZE]
+    code_bits = sc2.codebook_bits(dict(zip(uniq[book].tolist(), counts[book].tolist())))
+    bits = np.full(uniq.size, sc2.ESCAPE_WORD_BITS, dtype=np.int64)
+    bits[book] = [code_bits[word] for word in uniq[book].tolist()]
+    if uniq.size and uniq[0] == 0:
+        bits[0] = code_bits[0]
+    size = (bits[inverse.ravel()].reshape(words.shape).sum(axis=1) + 7) // 8
+    return np.where(size >= LINE_BYTES, LINE_BYTES, size)
+
+
+#: Codec name -> size kernel, for codecs that size each line alone.
 SIZE_KERNELS = {
     "bdi": bdi_size_bytes,
     "fpc": fpc_size_bytes,
     "cpack": cpack_size_bytes,
+    "zero": zero_size_bytes,
 }
+
+#: Codec name -> kernel sizing a line set for the histograms of
+#: repro.compression.stats: every registered codec has one.
+HISTOGRAM_KERNELS = {**SIZE_KERNELS, "sc2": sc2_trained_size_bytes}
 
 
 def size_histogram(kernel, lines: Sequence[bytes]) -> tuple[tuple[int, int], ...]:

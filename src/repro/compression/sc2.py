@@ -22,7 +22,6 @@ frequencies, capped at :data:`MAX_CODE_BITS` as real designs do.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import Counter
 
 from repro.compression.base import (
@@ -43,26 +42,53 @@ MAX_CODE_BITS = 14
 #: Escape prefix bits preceding a verbatim 32-bit word.
 ESCAPE_BITS = 4
 
+#: Bits one escaped word costs: the prefix plus the verbatim word.
+ESCAPE_WORD_BITS = ESCAPE_BITS + 8 * _WORD_BYTES
+
 
 def _huffman_code_lengths(frequencies: dict[int, int]) -> dict[int, int]:
-    """Code length per symbol via the classic two-queue Huffman build."""
+    """Code length per symbol of a Huffman code over ``frequencies``.
+
+    The heap orders equal weights by node age: leaves in the dict's
+    order, then merged nodes in the order they were made.  Each merge
+    only records its two children's parent, so a symbol's code length is
+    its leaf's depth, found in one pass from the root down.
+    """
     if not frequencies:
         return {}
-    if len(frequencies) == 1:
-        return {symbol: 1 for symbol in frequencies}
-    counter = itertools.count()
-    heap = [
-        (freq, next(counter), {symbol: 0})
-        for symbol, freq in frequencies.items()
-    ]
+    symbols = list(frequencies)
+    if len(symbols) == 1:
+        return {symbols[0]: 1}
+    heap = [(freq, node) for node, freq in enumerate(frequencies.values())]
     heapq.heapify(heap)
+    parent = [0] * (2 * len(symbols) - 1)
+    node = len(symbols)
     while len(heap) > 1:
-        freq_a, _, lengths_a = heapq.heappop(heap)
-        freq_b, _, lengths_b = heapq.heappop(heap)
-        merged = {s: n + 1 for s, n in lengths_a.items()}
-        merged.update({s: n + 1 for s, n in lengths_b.items()})
-        heapq.heappush(heap, (freq_a + freq_b, next(counter), merged))
-    return heap[0][2]
+        freq_a, a = heapq.heappop(heap)
+        freq_b, b = heapq.heappop(heap)
+        parent[a] = parent[b] = node
+        heapq.heappush(heap, (freq_a + freq_b, node))
+        node += 1
+    # A parent is always made after its children, so walking the nodes
+    # from the root (the last one made) down sees every parent first.
+    depth = [0] * node
+    for child in range(node - 2, -1, -1):
+        depth[child] = depth[parent[child]] + 1
+    return {symbol: depth[leaf] for leaf, symbol in enumerate(symbols)}
+
+
+def codebook_bits(frequent: dict[int, int]) -> dict[int, int]:
+    """Word -> code bits of a codebook over ``frequent`` (word -> count).
+
+    Huffman lengths in the dict's order, capped at :data:`MAX_CODE_BITS`;
+    zero always stays encodable even if absent from ``frequent``.
+    """
+    bits = {
+        word: min(length, MAX_CODE_BITS)
+        for word, length in _huffman_code_lengths(frequent).items()
+    }
+    bits.setdefault(0, MAX_CODE_BITS)
+    return bits
 
 
 class SC2Compressor(CompressionAlgorithm):
@@ -99,14 +125,7 @@ class SC2Compressor(CompressionAlgorithm):
                 counts[int.from_bytes(line[i : i + _WORD_BYTES], "little")] += 1
         if not counts:
             raise CompressionError("cannot train on an empty sample")
-        frequent = dict(counts.most_common(self.codebook_size))
-        lengths = _huffman_code_lengths(frequent)
-        self._code_bits = {
-            symbol: min(length, MAX_CODE_BITS)
-            for symbol, length in lengths.items()
-        }
-        # Zero always stays encodable even if absent from the sample.
-        self._code_bits.setdefault(0, MAX_CODE_BITS)
+        self._code_bits = codebook_bits(dict(counts.most_common(self.codebook_size)))
 
     @property
     def codebook(self) -> dict[int, int]:
@@ -131,7 +150,7 @@ class SC2Compressor(CompressionAlgorithm):
             if code is not None:
                 bits += code
             else:
-                bits += ESCAPE_BITS + 32
+                bits += ESCAPE_WORD_BITS
         size = -(-bits // 8)
         if size >= self.line_size:
             return self._uncompressed(data)

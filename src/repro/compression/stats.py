@@ -2,9 +2,10 @@
 
 Pekhimenko-style analyses (and Section VI.A of the Base-Victim paper)
 explain capacity results through the *distribution* of compressed block
-sizes, not just its mean.  This module compresses a workload's palette
-lines with every registered algorithm and publishes one size histogram
-per codec into a :class:`~repro.obs.registry.CounterRegistry`.
+sizes, not just its mean.  This module sizes a workload's palette lines
+with every registered algorithm's vectorised kernel
+(:mod:`repro.compression.kernels`) and publishes one size histogram per
+codec into a :class:`~repro.obs.registry.CounterRegistry`.
 
 The histograms depend only on the palette bytes, which are a pure
 function of (category, compressibility class, seed) — so results are
@@ -17,35 +18,21 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from repro.compression import ALGORITHMS, kernels, make_compressor
+from repro.compression import ALGORITHMS, kernels
 
 
 @lru_cache(maxsize=256)
 def _size_histograms(lines: tuple[bytes, ...]) -> tuple[tuple[str, tuple[tuple[int, int], ...]], ...]:
     """(codec name, ((size_bytes, count), ...)) per registered algorithm.
 
-    Codecs with a vectorised size kernel (BDI/FPC/C-Pack) reconstruct
-    their histogram from one kernel pass; SC2 (which trains on the line
-    set) and the zero codec stay scalar.  Kernel and scalar sizes are
-    byte-identical (tests/compression/test_kernels.py).
+    Every codec's histogram comes from one vectorised kernel pass
+    (``kernels.HISTOGRAM_KERNELS``; SC2 trains on the line set first),
+    byte-identical to the scalar codecs (tests/compression/test_kernels.py).
     """
-    out = []
-    for name in sorted(ALGORITHMS):
-        kernel = kernels.SIZE_KERNELS.get(name)
-        if kernel is not None:
-            out.append((name, kernels.size_histogram(kernel, lines)))
-            continue
-        compressor = make_compressor(name)
-        train = getattr(compressor, "train", None)
-        if callable(train):
-            # SC2-style codecs train on cache contents before compressing.
-            train(list(lines))
-        counts: dict[int, int] = {}
-        for data in lines:
-            size = compressor.compress(data).size_bytes
-            counts[size] = counts.get(size, 0) + 1
-        out.append((name, tuple(sorted(counts.items()))))
-    return tuple(out)
+    return tuple(
+        (name, kernels.size_histogram(kernels.HISTOGRAM_KERNELS[name], lines))
+        for name in sorted(ALGORITHMS)
+    )
 
 
 def codec_size_histograms(lines: Iterable[bytes]) -> dict[str, dict[int, int]]:

@@ -68,10 +68,9 @@ class UncompressedLLC(LLCArchitecture):
                 if cache._nru_inline:
                     cache.referenced[cset.base + way] = True
                 elif cache._lru_inline:
-                    index = cset.index
-                    clock = cache.clocks[index] + 1
-                    cache.clocks[index] = clock
-                    cache.stamps[cset.base + way] = clock
+                    # Move to the MRU end of the recency order.
+                    del cset.lookup[addr]
+                    cset.lookup[addr] = way
                 else:
                     cache.policy.on_hit(cset.policy_state, way)
                 cache.dirty[cset.base + way] = True
@@ -95,10 +94,8 @@ class UncompressedLLC(LLCArchitecture):
             if cache._nru_inline:
                 cache.referenced[cset.base + way] = True
             elif cache._lru_inline:
-                index = cset.index
-                clock = cache.clocks[index] + 1
-                cache.clocks[index] = clock
-                cache.stamps[cset.base + way] = clock
+                del cset.lookup[addr]
+                cset.lookup[addr] = way
             else:
                 cache.policy.on_hit(cset.policy_state, way)
             if is_write:

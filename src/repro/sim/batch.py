@@ -45,10 +45,11 @@ The vector apply reproduces the scalar loop bit-for-bit:
 * cycles accumulate through a seeded ``cumsum`` — a *sequential* IEEE
   float64 fold, element-identical to the scalar ``cycles += delta *
   base_cpi`` chain (``np.sum``'s pairwise reduction would not be);
-* exact LRU state: within a run each set's clock advances once per
-  touch, so a touch's stamp is ``clock_before[set] + rank-within-set``;
-  the final stamp of each (set, way) is its last touch's stamp, and
-  per-set clocks advance by per-set touch counts (``bincount``);
+* exact LRU state: the private caches keep recency as the order of
+  each set's lookup dict (see :mod:`repro.cache.setassoc`), and a run of
+  touches leaves the untouched lines in their old order, followed by the
+  touched lines in order of their *last* touch; so each touched line is
+  moved to its set's MRU end once, in that order;
 * ``data.on_write`` fires per store, in trace order, with plain-int
   addresses (NumPy integer scalars are kept out of all model state —
   they would silently slow every later scalar touch);
@@ -89,8 +90,8 @@ PROBE_MIN = 512
 SEG_MIN = 64
 
 #: Hit runs shorter than this are replayed scalar-side: the vector
-#: apply's fixed cost (argsort/bincount/cumsum setup) only pays for
-#: itself on longer runs.
+#: apply's fixed cost (concatenation, recency moves, cumsum setup) only
+#: pays for itself on longer runs.
 VEC_MIN = 32
 
 #: A run shorter than this counts toward the consecutive-short-run
@@ -103,6 +104,14 @@ SHORT_LIMIT = 4
 #: Accesses processed purely scalar-side once a miss-heavy phase is
 #: detected, before the next vectorised probe.
 BURST = 512
+
+
+#: How the engine resolved its accesses, summed over every run in this
+#: process.  Not simulation results, so never in ``RunResult.obs``;
+#: ``repro perf`` reports them per entry.
+COUNTERS = dict.fromkeys(
+    ("vector_accesses", "scalar_accesses", "probes", "bursts", "refreshes"), 0
+)
 
 
 def available() -> bool:
@@ -144,8 +153,6 @@ def run_batch_loop(
     ways = l1.ways
     l1_tags = l1.tags
     l1_valid = l1.valid
-    l1_stamps = l1.stamps
-    l1_clocks = l1.clocks
     l1_dirty = l1.dirty
 
     l2 = hierarchy.l2
@@ -154,11 +161,7 @@ def run_batch_loop(
     l2_ways = l2.ways
     l2_tags = l2.tags
     l2_valid = l2.valid
-    l2_stamps = l2.stamps
-    l2_clocks = l2.clocks
     l2_dirty = l2.dirty
-    l2_lru_inline = l2._lru_inline
-    l2_policy = l2.policy
 
     prefetcher = hierarchy.prefetcher
     pf_degree = prefetcher.degree
@@ -262,6 +265,10 @@ def run_batch_loop(
     bv_silent_c = 0
     bv_choices_c = 0
     bv_replacements_c = 0
+    vector_c = 0
+    probes_c = 0
+    bursts_c = 0
+    refreshes_c = 0
 
     # Zero-copy views over the trace's packed array.array columns.
     np_addrs = np.frombuffer(addrs, dtype=np.int64)
@@ -292,6 +299,7 @@ def run_batch_loop(
             # Sync: patch the snapshot slots the scalar side mutated.
             if log:
                 if len(log) > refresh_floor:
+                    refreshes_c += 1
                     t_flat[:] = l1_tags
                     v_flat[:] = l1_valid
                 else:
@@ -302,6 +310,7 @@ def run_batch_loop(
 
             # Probe the leading hit run from lo, in adaptively sized
             # segments, examining at most ``cap`` predictions.
+            probes_c += 1
             probe_hi = lo + cap
             if probe_hi > length:
                 probe_hi = length
@@ -350,34 +359,15 @@ def run_batch_loop(
                     r_way = np.concatenate(part_ways)
                 r_flat = r_set * ways + r_way
 
-                # Exact LRU stamps: rank of each touch within its set's
-                # ordered touches (stable sort keeps trace order per set).
-                order = np.argsort(r_set, kind="stable")
-                s_sorted = r_set[order]
-                group_start = np.searchsorted(s_sorted, s_sorted, side="left")
-                ranks = np.empty(run_len, dtype=np.int64)
-                ranks[order] = np.arange(run_len, dtype=np.int64) - group_start + 1
-                clocks_np = np.array(l1_clocks, dtype=np.int64)
-                stamp_vals = clocks_np[r_set] + ranks
-
-                # Each (set, way)'s final stamp is its *last* touch's stamp.
-                order2 = np.argsort(r_flat, kind="stable")
-                f_sorted = r_flat[order2]
-                last = np.empty(run_len, dtype=bool)
-                last[-1] = True
-                np.not_equal(f_sorted[1:], f_sorted[:-1], out=last[:-1])
-                wb_pos = order2[last]
-                for flat, stamp in zip(
-                    r_flat[wb_pos].tolist(), stamp_vals[wb_pos].tolist()
+                # Exact LRU order: move each touched line to its set's
+                # MRU end, in order of its last touch in the run.  The
+                # reversed dict.fromkeys keeps each slot's last touch.
+                for flat in reversed(
+                    dict.fromkeys(reversed(r_flat.tolist()))
                 ):
-                    l1_stamps[flat] = stamp
-
-                counts = np.bincount(r_set, minlength=num_sets)
-                touched = np.flatnonzero(counts)
-                for index, count in zip(
-                    touched.tolist(), counts[touched].tolist()
-                ):
-                    l1_clocks[index] += count
+                    tag = l1_tags[flat]
+                    set_lookup = l1_sets[flat // ways].lookup
+                    set_lookup[tag] = set_lookup.pop(tag)
 
                 # Stores: dirty bits (order-free) and on_write (in order).
                 wr_rel = np.flatnonzero(np_kinds[lo:m] == 1)
@@ -395,6 +385,7 @@ def run_batch_loop(
                 np.multiply(d_run, base_cpi, out=buf[1:])
                 cycles = float(buf.cumsum()[-1])
                 l1_hits += run_len
+                vector_c += run_len
 
                 if 0 <= next_sample < m:
                     value = victim_occupancy()
@@ -419,6 +410,7 @@ def run_batch_loop(
                         # wasted probes.
                         short_runs = SHORT_LIMIT
                         scalar_hi = m + BURST
+                        bursts_c += 1
                         if scalar_hi > length:
                             scalar_hi = length
                 else:
@@ -444,28 +436,22 @@ def run_batch_loop(
                 if is_write:
                     on_write(addr)
                 cset = l1_sets[addr & l1_mask]
-                way = cset.lookup.get(addr)
+                lookup = cset.lookup
+                way = lookup.pop(addr, None)
                 if way is not None:
-                    # Inlined l1.probe hit: LRU touch plus the dirty bit.
-                    index = cset.index
-                    clock = l1_clocks[index] + 1
-                    l1_clocks[index] = clock
-                    l1_stamps[cset.base + way] = clock
+                    # Inlined l1.probe hit: the LRU touch (the key goes
+                    # back at the MRU end) plus the dirty bit.
+                    lookup[addr] = way
                     if is_write:
                         l1_dirty[cset.base + way] = True
                     l1_hits += 1
                 else:
                     # Inlined l2.probe (a demand read never dirties L2).
                     l2set = l2_sets[addr & l2_mask]
-                    l2way = l2set.lookup.get(addr)
+                    l2lookup = l2set.lookup
+                    l2way = l2lookup.pop(addr, None)
                     if l2way is not None:
-                        if l2_lru_inline:
-                            index = l2set.index
-                            clock = l2_clocks[index] + 1
-                            l2_clocks[index] = clock
-                            l2_stamps[l2set.base + l2way] = clock
-                        else:
-                            l2_policy.on_hit(l2set.policy_state, l2way)
+                        l2lookup[addr] = l2way
                         l2_probe_hits_c += 1
                         l2_hits_c += 1
                         stall = l2_stall
@@ -598,7 +584,6 @@ def run_batch_loop(
                                         l1_valid[islot] = False
                                         l1_dirty[islot] = False
                                         icset.valid_count -= 1
-                                        l1_stamps[islot] = 0
                                         log.append(islot)
                                     icset = l2_sets[uvictim & l2_mask]
                                     iway = icset.lookup.pop(uvictim, None)
@@ -609,7 +594,6 @@ def run_batch_loop(
                                         l2_valid[islot] = False
                                         l2_dirty[islot] = False
                                         icset.valid_count -= 1
-                                        l2_stamps[islot] = 0
                                     if present:
                                         back_invalidations_c += 1
                                     if idirty and not uvictim_dirty:
@@ -870,7 +854,6 @@ def run_batch_loop(
                                         l1_valid[islot] = False
                                         l1_dirty[islot] = False
                                         icset.valid_count -= 1
-                                        l1_stamps[islot] = 0
                                         log.append(islot)
                                     icset = l2_sets[
                                         replaced_addr & l2_mask
@@ -885,7 +868,6 @@ def run_batch_loop(
                                         l2_valid[islot] = False
                                         l2_dirty[islot] = False
                                         icset.valid_count -= 1
-                                        l2_stamps[islot] = 0
                                     if present:
                                         back_invalidations_c += 1
                                     if idirty and not was_dirty:
@@ -934,7 +916,6 @@ def run_batch_loop(
                                         l1_valid[islot] = False
                                         l1_dirty[islot] = False
                                         icset.valid_count -= 1
-                                        l1_stamps[islot] = 0
                                         log.append(islot)
                                     icset = l2_sets[inv_addr & l2_mask]
                                     iway = icset.lookup.pop(inv_addr, None)
@@ -945,7 +926,6 @@ def run_batch_loop(
                                         l2_valid[islot] = False
                                         l2_dirty[islot] = False
                                         icset.valid_count -= 1
-                                        l2_stamps[islot] = 0
                                     if present:
                                         back_invalidations_c += 1
                                     if idirty and not wrote_back:
@@ -976,32 +956,25 @@ def run_batch_loop(
                         # Inlined hierarchy._fill_l2(addr) on the miss
                         # path (the L2-hit path fills only the L1).
                         base2 = l2set.base
-                        index2 = l2set.index
                         if l2set.valid_count < l2_ways:
                             slot2 = l2_valid.index(False, base2, base2 + l2_ways)
                             l2set.valid_count += 1
                             l2_tags[slot2] = addr
                             l2_valid[slot2] = True
                             l2_dirty[slot2] = False
-                            l2set.lookup[addr] = slot2 - base2
-                            clock2 = l2_clocks[index2] + 1
-                            l2_clocks[index2] = clock2
-                            l2_stamps[slot2] = clock2
+                            l2lookup[addr] = slot2 - base2
                         else:
-                            seg2 = l2_stamps[base2 : base2 + l2_ways]
-                            slot2 = base2 + seg2.index(min(seg2))
-                            victim2 = l2_tags[slot2]
+                            # LRU victim: the first key of the set.
+                            victim2 = next(iter(l2lookup))
+                            way2 = l2lookup.pop(victim2)
+                            slot2 = base2 + way2
                             victim2_dirty = l2_dirty[slot2]
-                            del l2set.lookup[victim2]
                             l2_evictions_c += 1
                             if victim2_dirty:
                                 l2_writebacks_c += 1
                             l2_tags[slot2] = addr
                             l2_dirty[slot2] = False
-                            l2set.lookup[addr] = slot2 - base2
-                            clock2 = l2_clocks[index2] + 1
-                            l2_clocks[index2] = clock2
-                            l2_stamps[slot2] = clock2
+                            l2lookup[addr] = way2
 
                             # L1 must not outlive its L2 copy (inclusive
                             # pair): l1.invalidate, inlined.
@@ -1014,7 +987,6 @@ def run_batch_loop(
                                 l1_valid[v1slot] = False
                                 l1_dirty[v1slot] = False
                                 v1set.valid_count -= 1
-                                l1_stamps[v1slot] = 0
                                 log.append(v1slot)
                             if was_dirty:
                                 writebacks_to_llc_c += 1
@@ -1173,11 +1145,10 @@ def run_batch_loop(
                     victim1_dirty = False
                     victim1 = 0
                     if cset.valid_count == ways:
-                        seg1 = l1_stamps[base1 : base1 + ways]
-                        slot1 = base1 + seg1.index(min(seg1))
-                        victim1 = l1_tags[slot1]
+                        # LRU victim: the first key of the set.
+                        victim1 = next(iter(lookup))
+                        slot1 = base1 + lookup.pop(victim1)
                         victim1_dirty = l1_dirty[slot1]
-                        del cset.lookup[victim1]
                         l1_evictions_c += 1
                         if victim1_dirty:
                             l1_writebacks_c += 1
@@ -1187,25 +1158,16 @@ def run_batch_loop(
                     l1_tags[slot1] = addr
                     l1_valid[slot1] = True
                     l1_dirty[slot1] = is_write
-                    cset.lookup[addr] = slot1 - base1
-                    index1 = cset.index
-                    clock1 = l1_clocks[index1] + 1
-                    l1_clocks[index1] = clock1
-                    l1_stamps[slot1] = clock1
+                    lookup[addr] = slot1 - base1
                     log.append(slot1)
                     if victim1_dirty:
                         # Dirty L1 victim merges into the (inclusive) L2:
                         # l2.probe(victim1, is_write=True), inlined.
                         m2set = l2_sets[victim1 & l2_mask]
-                        m2way = m2set.lookup.get(victim1)
+                        m2lookup = m2set.lookup
+                        m2way = m2lookup.pop(victim1, None)
                         if m2way is not None:
-                            if l2_lru_inline:
-                                index = m2set.index
-                                clock = l2_clocks[index] + 1
-                                l2_clocks[index] = clock
-                                l2_stamps[m2set.base + m2way] = clock
-                            else:
-                                l2_policy.on_hit(m2set.policy_state, m2way)
+                            m2lookup[victim1] = m2way
                             l2_dirty[m2set.base + m2way] = True
                             l2_probe_hits_c += 1
                         else:
@@ -1286,7 +1248,6 @@ def run_batch_loop(
                                     l1_valid[islot] = False
                                     l1_dirty[islot] = False
                                     icset.valid_count -= 1
-                                    l1_stamps[islot] = 0
                                     log.append(islot)
                                 icset = l2_sets[uvictim & l2_mask]
                                 iway = icset.lookup.pop(uvictim, None)
@@ -1297,7 +1258,6 @@ def run_batch_loop(
                                     l2_valid[islot] = False
                                     l2_dirty[islot] = False
                                     icset.valid_count -= 1
-                                    l2_stamps[islot] = 0
                                 if present:
                                     back_invalidations_c += 1
                                 if idirty and not uvictim_dirty:
@@ -1502,7 +1462,6 @@ def run_batch_loop(
                                         l1_valid[islot] = False
                                         l1_dirty[islot] = False
                                         icset.valid_count -= 1
-                                        l1_stamps[islot] = 0
                                         log.append(islot)
                                     icset = l2_sets[
                                         replaced_addr & l2_mask
@@ -1517,7 +1476,6 @@ def run_batch_loop(
                                         l2_valid[islot] = False
                                         l2_dirty[islot] = False
                                         icset.valid_count -= 1
-                                        l2_stamps[islot] = 0
                                     if present:
                                         back_invalidations_c += 1
                                     if idirty and not was_dirty:
@@ -1613,3 +1571,8 @@ def run_batch_loop(
         bv_vp.stat_replacements += bv_replacements_c
     for value in samples:
         occupancy.observe(value)
+    COUNTERS["vector_accesses"] += vector_c
+    COUNTERS["scalar_accesses"] += length - vector_c
+    COUNTERS["probes"] += probes_c
+    COUNTERS["bursts"] += bursts_c
+    COUNTERS["refreshes"] += refreshes_c

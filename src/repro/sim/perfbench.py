@@ -20,7 +20,8 @@ engine multiplies whatever single-worker speed this reports, so this is
 the number every perf PR must move.  Each (machine, trace) cell runs
 ``repeats`` times on a fresh data model and keeps the *best* run —
 wall-clock noise only ever slows a run down, so the minimum is the most
-stable estimator.
+stable estimator.  Each entry also records one run's batch-engine
+counters (:data:`repro.sim.batch.COUNTERS`).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.obs.registry import CounterRegistry
+from repro.sim import batch
 from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB, MachineConfig, Preset
 from repro.sim.engine import ENGINE_ENV, ENGINES, resolve_engine
 from repro.sim.single_core import simulate_trace
@@ -103,12 +105,14 @@ def measure_matrix(
             trace = suite.trace(name)  # generated once, reused across repeats
             best_seconds = float("inf")
             best_phases: dict[str, float] = {}
+            engine_counters: dict[str, int] = {}
             accesses = 0
             for _ in range(repeats):
                 # Fresh data model per repeat: stores mutate it, and the
                 # measurement must be of identical work every time.
                 data = suite.data_model(name)
                 registry = CounterRegistry()
+                before = dict(batch.COUNTERS)
                 started = time.perf_counter()
                 result = simulate_trace(
                     trace, data, machine, preset, registry=registry,
@@ -116,6 +120,11 @@ def measure_matrix(
                 )
                 elapsed = time.perf_counter() - started
                 accesses = result.accesses
+                # Identical work every repeat, so any repeat's counts do.
+                engine_counters = {
+                    key: value - before[key]
+                    for key, value in batch.COUNTERS.items()
+                }
                 if elapsed < best_seconds:
                     best_seconds = elapsed
                     best_phases = {
@@ -131,6 +140,7 @@ def measure_matrix(
                     "best_seconds": best_seconds,
                     "accesses_per_sec": accesses / best_seconds,
                     "phase_seconds": best_phases,
+                    "engine_counters": engine_counters,
                 }
             )
             done += 1

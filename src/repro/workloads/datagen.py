@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.cache.replacement.base import DeterministicRandom
 from repro.compression import kernels
@@ -209,7 +210,7 @@ class LineDataModel:
 
     def __init__(
         self,
-        palette: list[PaletteEntry],
+        palette: Sequence[PaletteEntry],
         seed: int = 0,
         write_change_period: int = 4,
     ) -> None:

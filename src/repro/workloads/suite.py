@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.workloads.datagen import LineDataModel, build_palette
+from repro.workloads.datagen import LineDataModel, PaletteEntry, build_palette
 from repro.workloads.generators import PatternGenerator, PatternParams
 from repro.workloads.trace import Trace, TraceMeta
 from repro.workloads.tracecache import process_cache
@@ -289,6 +289,19 @@ def poor_specs() -> list[TraceSpec]:
     ]
 
 
+@lru_cache(maxsize=None)
+def _shared_palette(
+    category: str, comp_class: str, seed: int
+) -> tuple[PaletteEntry, ...]:
+    """One spec's palette, built once per process (at most 100 are kept).
+
+    It lives outside the process trace cache on purpose: that cache's
+    bound counts entries, not bytes, and a palette of a few KB must not
+    push a trace or its size tables out of it.
+    """
+    return tuple(build_palette(category, comp_class, seed))
+
+
 class TraceSuite:
     """Generates and caches traces for one (reference LLC, length) preset."""
 
@@ -370,13 +383,15 @@ class TraceSuite:
         """Fresh data model (palette + write evolution) for one run.
 
         The model itself is never shared — stores evolve its state — but
-        its version-0 size tables are a pure function of (trace, seed,
-        palette), so the model is pointed at the process cache and
+        its palette (frozen entries the model only reads) and its
+        version-0 size tables are pure functions of the trace, so both
+        are built once per process: the palette by :func:`_shared_palette`,
+        the tables in the process cache, which
         :meth:`~repro.workloads.datagen.LineDataModel.prime_size_memo`
-        adopts the cached tables instead of recomputing them per cell.
+        adopts instead of recomputing them per cell.
         """
         spec = self.spec(name)
-        palette = build_palette(spec.category, spec.comp_class, spec.seed)
+        palette = _shared_palette(spec.category, spec.comp_class, spec.seed)
         model = LineDataModel(palette, seed=spec.seed)
         model.size_table_cache = (process_cache(), self._cache_key("sizes", name))
         return model

@@ -1,9 +1,10 @@
 """Tests for per-codec compressed-size histograms (observability)."""
 
-from repro.compression import ALGORITHMS
+from repro.compression import ALGORITHMS, make_compressor
 from repro.compression.stats import codec_size_histograms, publish_codec_histograms
 from repro.obs.registry import CounterRegistry
 from repro.workloads.datagen import build_palette
+from repro.workloads.suite import all_specs
 
 
 def palette_lines():
@@ -37,3 +38,26 @@ class TestCodecSizeHistograms:
         reg = CounterRegistry()
         publish_codec_histograms(reg, [])
         assert reg.as_dict() == {}
+
+
+def _scalar_histograms(lines):
+    """Per-codec histograms from the scalar codecs (SC2 trained first)."""
+    out = {}
+    for name in sorted(ALGORITHMS):
+        compressor = make_compressor(name)
+        if name == "sc2":
+            compressor.train(list(lines))
+        counts: dict[int, int] = {}
+        for line in lines:
+            size = compressor.compress(line).size_bytes
+            counts[size] = counts.get(size, 0) + 1
+        out[name] = counts
+    return out
+
+
+class TestSuitePalettes:
+    def test_every_suite_palette_matches_the_scalar_codecs(self):
+        for spec in all_specs():
+            palette = build_palette(spec.category, spec.comp_class, spec.seed)
+            lines = [entry.data for entry in palette]
+            assert codec_size_histograms(lines) == _scalar_histograms(lines), spec.name

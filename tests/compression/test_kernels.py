@@ -14,6 +14,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compression import kernels, make_compressor
 from repro.workloads.datagen import _RING_SIZE, _mix
@@ -76,6 +78,49 @@ def test_size_histogram_matches_scalar(codec):
         counts[size] = counts.get(size, 0) + 1
     histogram = kernels.size_histogram(kernels.SIZE_KERNELS[codec], lines)
     assert histogram == tuple(sorted(counts.items()))
+
+
+def _scalar_trained_sc2_sizes(lines: list[bytes]) -> list[int]:
+    compressor = make_compressor("sc2")
+    compressor.train(lines)
+    return [compressor.compress(line).size_bytes for line in lines]
+
+
+def test_trained_sc2_kernel_matches_scalar_codec():
+    lines = _adversarial_lines()
+    got = kernels.sc2_trained_size_bytes(kernels.lines_matrix(lines)).tolist()
+    assert got == _scalar_trained_sc2_sizes(lines)
+
+
+@given(
+    st.lists(
+        # Few distinct words, so codebook ties and repeated values abound.
+        st.lists(st.sampled_from([0, 1, 2, 7, 0xDEADBEEF, 2**32 - 1]), min_size=16,
+                 max_size=16)
+        | st.lists(st.integers(0, 2**32 - 1), min_size=16, max_size=16),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_trained_sc2_kernel_matches_scalar_codec_fuzzed(rows):
+    lines = [struct.pack("<16I", *row) for row in rows]
+    got = kernels.sc2_trained_size_bytes(kernels.lines_matrix(lines)).tolist()
+    assert got == _scalar_trained_sc2_sizes(lines)
+
+
+def test_trained_sc2_kernel_zero_outside_full_codebook():
+    # 304 distinct words seen three times each fill the 256-entry
+    # codebook, so zero (seen once) is left out and must still cost
+    # MAX_CODE_BITS instead of an escape.
+    lines = [
+        struct.pack("<16I", *range(1 + 16 * i, 17 + 16 * i)) for i in range(19)
+    ] * 3 + [struct.pack("<16I", 0, *range(1, 16))]
+    compressor = make_compressor("sc2")
+    compressor.train(lines)
+    assert compressor.codebook[0] == 14
+    got = kernels.sc2_trained_size_bytes(kernels.lines_matrix(lines)).tolist()
+    assert got == _scalar_trained_sc2_sizes(lines)
 
 
 def test_lines_matrix_rejects_ragged_input():

@@ -1,5 +1,7 @@
 """Tests for SC2 statistical compression."""
 
+import heapq
+import itertools
 import struct
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from repro.compression.base import CompressionError
 from repro.compression.sc2 import (
     _huffman_code_lengths,
+    codebook_bits,
     DEFAULT_CODEBOOK_SIZE,
     MAX_CODE_BITS,
     SC2Compressor,
@@ -40,6 +43,65 @@ class TestHuffman:
 
     def test_empty(self):
         assert _huffman_code_lengths({}) == {}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(
+            st.integers(0, 2**32 - 1),
+            # A small weight range forces many equal-weight ties.
+            st.integers(1, 6) | st.integers(1, 10**6),
+            max_size=300,
+        )
+    )
+    def test_matches_frozen_dict_merging_builder(self, freqs):
+        assert _huffman_code_lengths(freqs) == _frozen_huffman_code_lengths(freqs)
+
+
+class TestCodebookBits:
+    def test_zero_stays_encodable_when_absent(self):
+        assert codebook_bits({5: 3, 6: 1}) == {5: 1, 6: 1, 0: MAX_CODE_BITS}
+
+    def test_zero_keeps_its_huffman_length_when_present(self):
+        assert codebook_bits({0: 10, 6: 1}) == {0: 1, 6: 1}
+
+    def test_lengths_are_capped(self):
+        # Fibonacci weights give the deepest possible Huffman tree.
+        fib = [1, 1]
+        while len(fib) < 24:
+            fib.append(fib[-1] + fib[-2])
+        deep = _huffman_code_lengths(dict(enumerate(fib, start=1)))
+        assert max(deep.values()) > MAX_CODE_BITS
+        bits = codebook_bits(dict(enumerate(fib, start=1)))
+        assert max(bits.values()) == MAX_CODE_BITS
+
+    def test_train_uses_it(self):
+        sample = [words(*range(16)), words(*([3] * 16))]
+        compressor = SC2Compressor()
+        compressor.train(sample)
+        counts = {3: 17, **{v: 1 for v in range(16) if v != 3}}
+        ordered = dict(sorted(counts.items(), key=lambda kv: -kv[1]))
+        assert compressor.codebook == codebook_bits(ordered)
+
+
+def _frozen_huffman_code_lengths(frequencies):
+    """The original dict-merging Huffman build, frozen as the reference."""
+    if not frequencies:
+        return {}
+    if len(frequencies) == 1:
+        return {symbol: 1 for symbol in frequencies}
+    counter = itertools.count()
+    heap = [
+        (freq, next(counter), {symbol: 0})
+        for symbol, freq in frequencies.items()
+    ]
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        freq_a, _, lengths_a = heapq.heappop(heap)
+        freq_b, _, lengths_b = heapq.heappop(heap)
+        merged = {s: n + 1 for s, n in lengths_a.items()}
+        merged.update({s: n + 1 for s, n in lengths_b.items()})
+        heapq.heappush(heap, (freq_a + freq_b, next(counter), merged))
+    return heap[0][2]
 
 
 class TestTraining:

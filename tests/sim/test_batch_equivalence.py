@@ -4,13 +4,17 @@ The batch engine (``repro.sim.batch``) vector-resolves each chunk's
 leading run of L1 hits against a snapshot of the L1's flat columns and
 hands everything from the first predicted miss onward to the scalar
 body.  Its correctness argument has sharp edges — snapshot staleness,
-exact LRU stamp reconstruction, sequential-fold cycle accumulation,
-store ordering, occupancy sampling inside vs outside a run, chunk
-boundaries — so it is proven, not argued: this module fuzzes dozens of
-seeded randomized traces across every replacement policy and both the
-uncompressed and Base-Victim LLCs, and requires the batched run to be
-**byte-identical** to the traced reference — every ``RunResult`` field
-and every serialised observation (``obs``) — on each one.
+the exact LRU recency order a vectorised run leaves behind (each
+touched line moved to its set's MRU end in order of its last touch),
+sequential-fold cycle accumulation, store ordering, occupancy sampling
+inside vs outside a run, chunk boundaries — so it is proven, not argued:
+this module fuzzes dozens of seeded randomized traces across every
+replacement policy and both the uncompressed and Base-Victim LLCs, and
+requires the batched run to be **byte-identical** to the traced
+reference — every ``RunResult`` field and every serialised observation
+(``obs``) — on each one.  The mixed and miss-dominated traces seldom
+hold a hit run of ``VEC_MIN`` accesses, so the hit-run traces assert,
+through the engine's counters, that the vector apply really ran.
 
 Traces are generated from the case seed alone, so every failure
 reproduces from its parametrized test id.
@@ -25,6 +29,7 @@ from array import array
 import pytest
 
 from repro.obs.tracing import TRACE_ENV, TRACE_FILE_ENV, TRACE_LIMIT_ENV
+from repro.sim import batch
 from repro.sim.config import TEST, MachineConfig
 from repro.sim.single_core import simulate_trace
 from repro.workloads.datagen import LineDataModel, build_palette
@@ -50,12 +55,12 @@ _LLC_LINES = TEST.reference_llc_lines
 def fuzz_trace(seed: int) -> Trace:
     """One randomized trace, fully determined by ``seed``.
 
-    The generator mixes regimes so every engine path is exercised: an
-    L1-resident hot set (long vectorised hit runs), an LLC-scale region
-    (miss tails through L2/LLC/memory), short streaming bursts (membership
-    churn right after a snapshot), and occasional revisits of recently
-    touched lines (hits whose stamps the vector apply must get exactly
-    right).  Lengths are deliberately varied around the chunk size.
+    The generator mixes regimes so every scalar path is exercised: an
+    L1-resident hot set (hit runs, mostly shorter than ``VEC_MIN``), an
+    LLC-scale region (miss tails through L2/LLC/memory), short streaming
+    bursts (membership churn right after a snapshot), and occasional
+    revisits of recently touched lines (hits whose recency must be kept
+    exactly).  Lengths are deliberately varied around the chunk size.
     """
     rng = random.Random(seed)
     length = rng.randrange(200, 800)
@@ -219,6 +224,78 @@ class TestMissDominatedOracle:
         assert run_engine(trace, machine, "batch") == run_engine(
             trace, machine, "traced"
         )
+
+
+def hit_run_trace(seed: int) -> Trace:
+    """Long L1-hit runs over a hot set, split by one or two misses.
+
+    The hot set fills most of the L1, so the runs go through the vector
+    apply, and the misses between runs evict hot lines by exact recency:
+    a vectorised run that left the LRU order wrong changes which hot line
+    the next miss evicts, and so the later hit counts.
+    """
+    rng = random.Random(seed)
+    hot_lines = rng.randrange(10, _L1_LINES + 1)
+    hot_base = rng.randrange(1 << 20) * 64
+    cold_base = hot_base + (1 << 16)
+    cold_lines = 4 * _LLC_LINES
+    write_fraction = rng.uniform(0.0, 0.4)
+    length = rng.randrange(1500, 3000)
+
+    kinds = array("b")
+    addrs = array("q")
+    deltas = array("i")
+
+    def emit(addr: int) -> None:
+        kinds.append(STORE if rng.random() < write_fraction else LOAD)
+        addrs.append(addr)
+        deltas.append(rng.randrange(1, 9))
+
+    while len(addrs) < length:
+        for _ in range(rng.randrange(40, 160)):
+            emit(hot_base + rng.randrange(hot_lines))
+        for _ in range(rng.randrange(1, 3)):
+            emit(cold_base + rng.randrange(cold_lines))
+    meta = TraceMeta(
+        name=f"fuzz-hits.{seed}",
+        category="fuzz",
+        seed=seed,
+        footprint_lines=hot_lines + cold_lines,
+        comp_class="mixed",
+        cache_sensitive=True,
+    )
+    return Trace(meta, kinds, addrs, deltas)
+
+
+def _hit_run_cases():
+    """(case_id, seed, machine) for the hit-run fuzz matrix."""
+    seed = 66_000
+    for arch in ARCHS:
+        for policy in ("nru", "lru"):
+            machine = MachineConfig(arch=arch, policy=policy).validate()
+            for _ in range(3):
+                yield f"{arch}-{policy}-h{seed}", seed, machine
+                seed += 1
+
+
+HIT_RUN_CASES = list(_hit_run_cases())
+
+
+class TestHitRunOracle:
+    """Byte-identity where the vector apply resolves most accesses."""
+
+    @pytest.mark.parametrize(
+        "seed,machine",
+        [case[1:] for case in HIT_RUN_CASES],
+        ids=[c[0] for c in HIT_RUN_CASES],
+    )
+    def test_vectorised_runs_byte_identical_to_traced(self, seed, machine):
+        trace = hit_run_trace(seed)
+        before = batch.COUNTERS["vector_accesses"]
+        batched = run_engine(trace, machine, "batch")
+        vectorised = batch.COUNTERS["vector_accesses"] - before
+        assert vectorised >= len(trace) // 10, "the vector apply barely ran"
+        assert batched == run_engine(trace, machine, "traced")
 
 
 class TestSizeMemoWriteInvalidation:

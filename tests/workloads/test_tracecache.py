@@ -7,7 +7,7 @@ import pytest
 
 from repro.workloads import tracecache
 from repro.workloads.datagen import build_palette, LineDataModel
-from repro.workloads.suite import TraceSuite
+from repro.workloads.suite import TraceSuite, all_specs
 from repro.workloads.trace import Trace, TraceMeta
 from repro.workloads.tracecache import (
     TraceCache,
@@ -223,6 +223,40 @@ class TestSuiteIntegration:
         del trace
         gc.collect()
         assert ref() is None
+        assert len(process_cache()) == 0
+
+    def test_palette_shared_across_models(self):
+        one = TraceSuite(reference_llc_lines=512, length=400)
+        two = TraceSuite(reference_llc_lines=512, length=400)
+        assert one.data_model("mcf.1").palette is two.data_model("mcf.1").palette
+
+    def test_second_machine_pass_reuses_every_trace(self):
+        # A serial machine-major sweep takes a trace entry and a
+        # size-table entry per trace, so the bound holds half as many
+        # traces; palettes must not take a share of it.
+        suite = TraceSuite(reference_llc_lines=512, length=400)
+        names = [spec.name for spec in all_specs()]
+        names = names[: process_cache().max_entries // 2]
+        for _machine in range(2):
+            for name in names:
+                trace = suite.trace(name)
+                suite.data_model(name).prime_size_memo(trace.addrs)
+        snap = process_cache().snapshot()
+        assert (snap["misses"], snap["hits"]) == (2 * len(names), 2 * len(names))
+
+    def test_zero_entry_cache_still_builds_correct_models(self, monkeypatch):
+        monkeypatch.setenv(tracecache.MAX_ENTRIES_ENV, "0")
+        reset_process_cache()
+        suite = TraceSuite(reference_llc_lines=512, length=400)
+        trace = suite.trace("mcf.1")
+        spec = suite.spec("mcf.1")
+        palette = build_palette(spec.category, spec.comp_class, spec.seed)
+        model = suite.data_model("mcf.1")
+        assert list(model.palette) == palette
+        model.prime_size_memo(trace.addrs)
+        fresh = LineDataModel(palette, seed=spec.seed)
+        for addr in set(trace.addrs):
+            assert model.size_of(addr) == fresh.size_of(addr)
         assert len(process_cache()) == 0
 
     def test_adopted_size_tables_match_uncached_model(self):
