@@ -158,13 +158,6 @@ class CacheHierarchy:
         # the shared L1/L2 outcome instances).
         self._outcome_llc = AccessOutcome(LLC)
         self._outcome_memory = AccessOutcome(MEMORY)
-        #: L1 membership mutation log for the batch engine.  When set (a
-        #: list), every flat L1 slot whose tag/valid columns change is
-        #: appended, letting the engine patch its probe snapshot instead
-        #: of re-snapshotting the whole cache after each miss.  L1 *hits*
-        #: never change membership, so only the fill/invalidate paths
-        #: below log.  None (the default) disables logging.
-        self._l1_log: list[int] | None = None
 
     # ------------------------------------------------------------------
     # Demand path
@@ -320,9 +313,6 @@ class CacheHierarchy:
         valid[slot] = True
         dirty_bits[slot] = is_write
         lookup[addr] = slot - base
-        log = self._l1_log
-        if log is not None:
-            log.append(slot)
         if victim_dirty:
             # Dirty L1 victim merges into the (inclusive) L2.
             if not self.l2.probe(victim_addr, is_write=True):
@@ -370,9 +360,6 @@ class CacheHierarchy:
             l1.valid[l1slot] = False
             l1.dirty[l1slot] = False
             l1set.valid_count -= 1
-            log = self._l1_log
-            if log is not None:
-                log.append(l1slot)
         if was_dirty:
             stats = self.stats
             stats.writebacks_to_llc += 1
@@ -445,7 +432,6 @@ class CacheHierarchy:
         """Back-invalidate lines the LLC dropped from its baseline image."""
         l1 = self.l1
         l2 = self.l2
-        log = self._l1_log
         # Counters batch in locals and flush once after the loop (the
         # same pattern as the engines' post-loop flush).
         back_invalidations = 0
@@ -465,8 +451,6 @@ class CacheHierarchy:
                 l1.valid[slot] = False
                 l1.dirty[slot] = False
                 cset.valid_count -= 1
-                if log is not None:
-                    log.append(slot)
             cset = l2._sets[addr & l2._set_mask]
             way = cset.lookup.pop(addr, None)
             if way is not None:

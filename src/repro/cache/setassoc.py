@@ -18,11 +18,11 @@ next to its lookup dict.  The inline LRU policy needs no column: a
 touch moves the key to the end of the set's lookup dict and a fill
 appends it, so the first key is the LRU victim, found in O(1).
 The columns are plain Python lists, deliberately: CPython indexes lists
-2-4x faster than ``array.array``/NumPy scalars, and the scalar code
-paths touch these columns on every access, while the batch engine's vectorised
-probe snapshots a whole column with a single C call
-(``numpy.array(cache.tags)``) once per chunk — see
-:mod:`repro.sim.batch`.  Replacement policies outside the two inline
+2-4x faster than ``array.array``/NumPy scalars, and every code path
+touches them on every access.  Flat columns let the batch engine
+(:mod:`repro.sim.batch`) hoist each one into a local once per run and
+index it by ``set.base + way`` in its inlined fills, LLC lanes and
+back-invalidations.  Replacement policies outside the two inline
 fast paths keep their opaque per-set state objects, unchanged.
 """
 

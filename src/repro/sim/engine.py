@@ -3,9 +3,9 @@
 ``simulate_trace`` carries two equivalent inner loops (engines):
 
 ``batch``
-    The default chunked engine (:mod:`repro.sim.batch`): one vectorised
-    probe against an L1 snapshot resolves the leading run of hits with
-    NumPy, then an inlined scalar miss body handles the miss tail.
+    The default engine (:mod:`repro.sim.batch`): one scalar loop over
+    the whole trace with the hierarchy's demand path inlined and its
+    counters batched in locals, flushed once after the loop.
 ``traced``
     The reference loop — one ``hierarchy.access`` per demand access,
     per-access counter updates, one tracer record per access.  Always

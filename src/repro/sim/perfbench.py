@@ -1,11 +1,10 @@
 """Perf-benchmark subsystem: simulation throughput as a tracked metric.
 
-The ROADMAP's "as fast as the hardware allows" axis needs a number
-attached to it: this module measures single-worker engine throughput
-(demand accesses simulated per wall-clock second) over a fixed
-(machine, trace) matrix, so inner-loop optimisations are observable and
-regressions are caught by CI instead of being discovered months later in
-a 60-trace sweep that suddenly takes an afternoon.
+This module measures single-worker engine throughput (demand accesses
+simulated per wall-clock second) over a fixed (machine, trace) matrix,
+so changes to the inner loop are observable and regressions are caught
+by CI instead of being discovered later in a 60-trace sweep that
+suddenly takes an afternoon.
 
 Three entry points share this engine:
 
@@ -20,8 +19,7 @@ engine multiplies whatever single-worker speed this reports, so this is
 the number every perf PR must move.  Each (machine, trace) cell runs
 ``repeats`` times on a fresh data model and keeps the *best* run —
 wall-clock noise only ever slows a run down, so the minimum is the most
-stable estimator.  Each entry also records one run's batch-engine
-counters (:data:`repro.sim.batch.COUNTERS`).
+stable estimator.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.obs.registry import CounterRegistry
-from repro.sim import batch
 from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB, MachineConfig, Preset
 from repro.sim.engine import ENGINE_ENV, ENGINES, resolve_engine
 from repro.sim.single_core import simulate_trace
@@ -55,7 +52,7 @@ PERF_MACHINES: dict[str, MachineConfig] = {
 DEFAULT_TRACES: tuple[str, ...] = ("3dmark.1", "lbm.1", "mcf.1", "sysmark.1")
 
 #: Two-trace slice used by the CI ``perf-smoke`` job (one hit-heavy, one
-#: miss-heavy trace, so both engine paths are exercised).
+#: miss-heavy trace, so both the L1-hit and the miss path are timed).
 CI_TRACES: tuple[str, ...] = ("mcf.1", "sjeng.1")
 
 #: CI regression gate: fail when throughput drops by more than this
@@ -105,14 +102,12 @@ def measure_matrix(
             trace = suite.trace(name)  # generated once, reused across repeats
             best_seconds = float("inf")
             best_phases: dict[str, float] = {}
-            engine_counters: dict[str, int] = {}
             accesses = 0
             for _ in range(repeats):
                 # Fresh data model per repeat: stores mutate it, and the
                 # measurement must be of identical work every time.
                 data = suite.data_model(name)
                 registry = CounterRegistry()
-                before = dict(batch.COUNTERS)
                 started = time.perf_counter()
                 result = simulate_trace(
                     trace, data, machine, preset, registry=registry,
@@ -120,11 +115,6 @@ def measure_matrix(
                 )
                 elapsed = time.perf_counter() - started
                 accesses = result.accesses
-                # Identical work every repeat, so any repeat's counts do.
-                engine_counters = {
-                    key: value - before[key]
-                    for key, value in batch.COUNTERS.items()
-                }
                 if elapsed < best_seconds:
                     best_seconds = elapsed
                     best_phases = {
@@ -140,7 +130,6 @@ def measure_matrix(
                     "best_seconds": best_seconds,
                     "accesses_per_sec": accesses / best_seconds,
                     "phase_seconds": best_phases,
-                    "engine_counters": engine_counters,
                 }
             )
             done += 1

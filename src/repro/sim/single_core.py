@@ -101,7 +101,6 @@ def simulate_trace(
     tracer: TraceRecorder | None = None,
     registry: CounterRegistry | None = None,
     engine: str | None = None,
-    chunk_size: int | None = None,
 ) -> RunResult:
     """Run one trace through one machine configuration.
 
@@ -113,10 +112,9 @@ def simulate_trace(
 
     ``engine`` picks the inner loop (see :mod:`repro.sim.engine`);
     ``None`` means ``$REPRO_ENGINE`` or the default.  An active tracer
-    always forces the traced reference loop.  ``chunk_size`` is the
-    batch engine's chunk length (tests exercise boundary cases with it).
-    The engine choice never appears in the result: both engines are
-    byte-identical, so a cached result is engine-independent.
+    always forces the traced reference loop.  The engine choice never
+    appears in the result: both engines are byte-identical, so a cached
+    result is engine-independent.
     """
     llc = machine.build_llc(preset)
     dram = DRAMModel()
@@ -164,8 +162,8 @@ def simulate_trace(
     # Two equivalent inner loops (see repro.sim.engine).  The traced
     # loop is the reference: one hierarchy.access per demand access,
     # per-access counter updates, one tracer.record per access.  The
-    # batch loop (repro.sim.batch) vector-resolves each run of L1 hits
-    # and hands the miss tail to an inlined scalar body.
+    # batch loop (repro.sim.batch) is one scalar loop with the whole
+    # demand path inlined and its counters batched in locals.
     # tests/sim/test_engine_equivalence.py and
     # tests/sim/test_batch_equivalence.py prove both produce
     # byte-identical RunResults and observations.
@@ -184,7 +182,6 @@ def simulate_trace(
                 sample_every,
                 next_sample,
                 occupancy,
-                chunk_size=chunk_size,
             )
         else:
             for i in range(length):

@@ -22,7 +22,6 @@ from repro.workloads.trace import LOAD, STORE, Trace, TraceMeta
 from repro.workloads.traceio import (
     migrate_trace,
     MigrationReport,
-    open_trace_columns,
     read_trace,
     trace_file_version,
     TraceFormatError,
@@ -56,7 +55,6 @@ __all__ = [
     "TraceSuite",
     "migrate_trace",
     "MigrationReport",
-    "open_trace_columns",
     "read_trace",
     "trace_file_version",
     "write_trace",

@@ -2,10 +2,10 @@
 
 Lets users persist generated traces or bring their own (e.g. converted
 from a Pin/DynamoRIO capture).  The current format, **v3**, is a
-columnar layout built for the vectorised batch engine: each of the three
-record columns lands in its own contiguous, 64-byte-aligned, individually
-checksummed section, so a reader can memory-map any column directly as a
-NumPy array (:func:`open_trace_columns`) without parsing past the header.
+columnar layout: each of the three record columns lands in its own
+contiguous, 64-byte-aligned, individually checksummed section, so a
+reader can load or map any column directly without parsing past the
+header.
 
 v3 layout, all fixed-width fields little-endian::
 
@@ -243,16 +243,13 @@ def read_trace(path: str | Path) -> Trace:
     )
 
 
-def _parse_v3_header(path: str | Path, data: bytes, file_size: int | None = None):
+def _parse_v3_header(path: str | Path, data: bytes):
     """Validate a v3 header; returns (meta, count, toc, header_len).
 
-    ``data`` needs to hold at least the header bytes; section-extent
-    checks run against ``file_size`` (default ``len(data)``), so mmap
-    readers can validate the structure from the header alone without
-    faulting in the column sections.
+    ``data`` is the whole file: the section extents are checked against
+    its length.
     """
-    if file_size is None:
-        file_size = len(data)
+    file_size = len(data)
 
     def take(count: int, what: str) -> bytes:
         nonlocal offset
@@ -330,53 +327,6 @@ def _read_v3(path: str | Path, data: bytes) -> Trace:
         columns[name] = column
         position = section_offset + nbytes
     return Trace(meta, **columns)
-
-
-def open_trace_columns(path: str | Path, verify: bool = True):
-    """Memory-map a v3 trace's columns as read-only NumPy arrays.
-
-    Returns ``(meta, {"kinds": i8[:], "addrs": i64[:], "deltas":
-    i32[:]})`` without copying the sections — this is the zero-copy
-    ingest path for the batch engine and bulk trace analysis.  The
-    header checksum is always verified; ``verify=True`` additionally
-    checks every section CRC (touching each page once).  Requires NumPy
-    and a v3 file; legacy files must be migrated first.
-    """
-    import numpy as np  # local import: traceio itself must not need numpy
-
-    version = trace_file_version(path)
-    if version != _VERSION:
-        raise TraceFormatError(
-            f"{path}: open_trace_columns needs a v{_VERSION} file, got "
-            f"v{version}; run `repro trace migrate` first"
-        )
-    with open(path, "rb") as handle:
-        head = handle.read(10)
-        if len(head) < 10:
-            raise TraceFormatError(f"{path}: truncated header")
-        (meta_len,) = struct.unpack("<I", head[6:10])
-        header_len = (
-            10 + meta_len + 8 + len(_COLUMNS) * _TOC_ENTRY.size + _HEADER_TAIL.size
-        )
-        handle.seek(0)
-        data = handle.read(header_len)
-    meta, count, toc, _ = _parse_v3_header(
-        path, data, file_size=os.path.getsize(path)
-    )
-    dtypes = {"kinds": np.int8, "addrs": np.int64, "deltas": np.int32}
-    columns = {}
-    for (name, _), (section_offset, nbytes, stored) in zip(_COLUMNS, toc):
-        view = np.memmap(
-            path, mode="r", dtype=dtypes[name], offset=section_offset, shape=(count,)
-        )
-        if verify and zlib.crc32(view.tobytes()) & 0xFFFFFFFF != stored:
-            raise TraceFormatError(
-                f"{path}: {name} section checksum mismatch; the file is corrupt"
-            )
-        if not _LITTLE:
-            view = view.byteswap()
-        columns[name] = view
-    return meta, columns
 
 
 def _read_legacy(path: str | Path, data: bytes, version: int) -> Trace:

@@ -9,7 +9,8 @@ the definition of LRU alone:
   through ``probe``, ``fill``, ``invalidate`` and ``is_dirty``;
 * :class:`HierarchyLRUMachine` — a :class:`CacheHierarchy`'s inclusive
   L1/L2 pair through ``access`` (the traced path) and through the batch
-  engine's ``run_batch_loop`` on runs long enough for its vector apply.
+  engine's inlined scalar loop, ``run_batch_loop``, on L1-hit runs of
+  every length followed by a mixed tail.
 
 At every step both compare each set's residents, every dirty bit, each
 evicted address with its dirty bit, and the dirty L2 victims written
@@ -193,16 +194,15 @@ class HierarchyLRUMachine(RuleBasedStateMachine):
     @rule(
         picks=st.lists(
             st.tuples(st.integers(0, 3), st.booleans()),
-            min_size=batch.VEC_MIN,
-            max_size=3 * batch.VEC_MIN,
+            min_size=1,
+            max_size=96,
         ),
         tail=st.lists(st.tuples(addrs, st.booleans()), max_size=8),
     )
     def batch_run(self, picks, tail):
-        """A run of L1 hits long enough for the vector apply, then a tail."""
+        """A run of L1 hits, then a tail of arbitrary accesses."""
         resident = sorted(self.hierarchy.l1.resident_lines())
         accesses = [(resident[i % len(resident)], w) for i, w in picks] + tail
-        before = batch.COUNTERS["vector_accesses"]
         batch.run_batch_loop(
             array("i", [1] * len(accesses)),
             array("q", [addr for addr, _ in accesses]),
@@ -215,7 +215,6 @@ class HierarchyLRUMachine(RuleBasedStateMachine):
             -1,
             None,
         )
-        assert batch.COUNTERS["vector_accesses"] - before >= len(picks)
         for addr, write in accesses:
             self.spec.access(addr, write)
 

@@ -1,20 +1,17 @@
 """Differential fuzz oracle: the batch engine vs the traced reference.
 
-The batch engine (``repro.sim.batch``) vector-resolves each chunk's
-leading run of L1 hits against a snapshot of the L1's flat columns and
-hands everything from the first predicted miss onward to the scalar
-body.  Its correctness argument has sharp edges — snapshot staleness,
-the exact LRU recency order a vectorised run leaves behind (each
-touched line moved to its set's MRU end in order of its last touch),
-sequential-fold cycle accumulation, store ordering, occupancy sampling
-inside vs outside a run, chunk boundaries — so it is proven, not argued:
-this module fuzzes dozens of seeded randomized traces across every
-replacement policy and both the uncompressed and Base-Victim LLCs, and
-requires the batched run to be **byte-identical** to the traced
-reference — every ``RunResult`` field and every serialised observation
-(``obs``) — on each one.  The mixed and miss-dominated traces seldom
-hold a hit run of ``VEC_MIN`` accesses, so the hit-run traces assert,
-through the engine's counters, that the vector apply really ran.
+The batch engine (``repro.sim.batch``) is one scalar loop with the
+hierarchy's demand path, the private-cache fills, back-invalidations and
+two LLC lanes inlined over hoisted locals, and its counters batched and
+flushed after the loop.  Every inlined copy must update state in the
+same order with the same values as the methods the traced reference
+runs, so this is proven, not argued: this module fuzzes dozens of seeded
+randomized traces across every replacement policy and both the
+uncompressed and Base-Victim LLCs, and requires the batched run to be
+**byte-identical** to the traced reference — every ``RunResult`` field
+and every serialised observation (``obs``) — on each one.  Mixed,
+miss-dominated and long-hit-run traces each stress a different part of
+the loop.
 
 Traces are generated from the case seed alone, so every failure
 reproduces from its parametrized test id.
@@ -29,15 +26,14 @@ from array import array
 import pytest
 
 from repro.obs.tracing import TRACE_ENV, TRACE_FILE_ENV, TRACE_LIMIT_ENV
-from repro.sim import batch
 from repro.sim.config import TEST, MachineConfig
 from repro.sim.single_core import simulate_trace
 from repro.workloads.datagen import LineDataModel, build_palette
 from repro.workloads.trace import LOAD, STORE, Trace, TraceMeta
 
-#: Policies the oracle sweeps the LLC over (the L1/L2 stay LRU — that is
-#: what the batch engine vectorises; the LLC policy shapes the miss tail
-#: the scalar body must interleave with exactly).
+#: Policies the oracle sweeps the LLC over (the L1/L2 stay LRU; the LLC
+#: policy decides whether the batch loop takes an inlined LLC lane or
+#: the generic method calls).
 POLICIES = ("lru", "nru", "srrip", "drrip")
 ARCHS = ("uncompressed", "base-victim")
 
@@ -56,11 +52,10 @@ def fuzz_trace(seed: int) -> Trace:
     """One randomized trace, fully determined by ``seed``.
 
     The generator mixes regimes so every scalar path is exercised: an
-    L1-resident hot set (hit runs, mostly shorter than ``VEC_MIN``), an
-    LLC-scale region (miss tails through L2/LLC/memory), short streaming
-    bursts (membership churn right after a snapshot), and occasional
-    revisits of recently touched lines (hits whose recency must be kept
-    exactly).  Lengths are deliberately varied around the chunk size.
+    L1-resident hot set (short hit runs), an LLC-scale region (miss
+    tails through L2/LLC/memory), short streaming bursts (membership
+    churn and prefetches), and occasional revisits of recently touched
+    lines (hits whose recency must be kept exactly).
     """
     rng = random.Random(seed)
     length = rng.randrange(200, 800)
@@ -115,10 +110,10 @@ def fuzz_data(seed: int) -> LineDataModel:
     return LineDataModel(build_palette("ispec", "mixed", seed), seed=seed)
 
 
-def run_engine(trace: Trace, machine: MachineConfig, engine: str, **kwargs) -> str:
+def run_engine(trace: Trace, machine: MachineConfig, engine: str) -> str:
     """One run; returns the byte-comparable serialised result."""
     result = simulate_trace(
-        trace, fuzz_data(trace.meta.seed), machine, TEST, engine=engine, **kwargs
+        trace, fuzz_data(trace.meta.seed), machine, TEST, engine=engine
     )
     return json.dumps(result.to_dict(), sort_keys=True)
 
@@ -153,11 +148,9 @@ def miss_trace(seed: int) -> Trace:
     """A miss-dominated randomized trace (working set >> L1 and LLC).
 
     Near-uniform accesses over several LLC capacities, so almost every
-    access walks the full scalar miss body — L2 probe, LLC fill,
-    eviction, DRAM accounting — with only incidental vectorised hit
-    runs.  This is the regime the resumable batch engine re-enters the
-    NumPy probe from, and the regime the end-to-end bench matrix is
-    weighted toward.
+    access walks the full inlined miss path — L2 probe, LLC fill,
+    eviction, DRAM accounting — with only incidental hits.  This is the
+    regime the end-to-end bench matrix is weighted toward.
     """
     rng = random.Random(seed)
     length = rng.randrange(600, 1400)
@@ -229,10 +222,10 @@ class TestMissDominatedOracle:
 def hit_run_trace(seed: int) -> Trace:
     """Long L1-hit runs over a hot set, split by one or two misses.
 
-    The hot set fills most of the L1, so the runs go through the vector
-    apply, and the misses between runs evict hot lines by exact recency:
-    a vectorised run that left the LRU order wrong changes which hot line
-    the next miss evicts, and so the later hit counts.
+    The hot set fills most of the L1, and the misses between runs evict
+    hot lines by exact recency: a hit that left the LRU order wrong
+    changes which hot line the next miss evicts, and so the later hit
+    counts.
     """
     rng = random.Random(seed)
     hot_lines = rng.randrange(10, _L1_LINES + 1)
@@ -282,7 +275,8 @@ HIT_RUN_CASES = list(_hit_run_cases())
 
 
 class TestHitRunOracle:
-    """Byte-identity where the vector apply resolves most accesses."""
+    """Byte-identity on long L1-hit runs whose LRU order decides the
+    next victim."""
 
     @pytest.mark.parametrize(
         "seed,machine",
@@ -291,11 +285,9 @@ class TestHitRunOracle:
     )
     def test_vectorised_runs_byte_identical_to_traced(self, seed, machine):
         trace = hit_run_trace(seed)
-        before = batch.COUNTERS["vector_accesses"]
-        batched = run_engine(trace, machine, "batch")
-        vectorised = batch.COUNTERS["vector_accesses"] - before
-        assert vectorised >= len(trace) // 10, "the vector apply barely ran"
-        assert batched == run_engine(trace, machine, "traced")
+        assert run_engine(trace, machine, "batch") == run_engine(
+            trace, machine, "traced"
+        )
 
 
 class TestSizeMemoWriteInvalidation:
@@ -349,31 +341,9 @@ class TestSizeMemoWriteInvalidation:
 
 
 class TestChunkBoundaries:
-    """Chunk-size edge cases, all on one miss-and-hit-mixed fuzz trace."""
+    """Edge case: a trace with no accesses at all."""
 
     MACHINE = MachineConfig(arch="base-victim", policy="lru").validate()
-    SEED = 99_001
-
-    @pytest.fixture(scope="class")
-    def reference(self):
-        return run_engine(fuzz_trace(self.SEED), self.MACHINE, "traced")
-
-    @pytest.mark.parametrize("chunk_size", [1, 7, 63, 10**9])
-    def test_odd_tiny_and_oversized_chunks(self, reference, chunk_size):
-        batched = run_engine(
-            fuzz_trace(self.SEED), self.MACHINE, "batch", chunk_size=chunk_size
-        )
-        assert batched == reference
-
-    def test_chunk_longer_than_trace_equals_single_chunk(self):
-        trace = fuzz_trace(self.SEED)
-        assert run_engine(
-            trace, self.MACHINE, "batch", chunk_size=len(trace) + 1
-        ) == run_engine(trace, self.MACHINE, "batch", chunk_size=10**9)
-
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            run_engine(fuzz_trace(self.SEED), self.MACHINE, "batch", chunk_size=0)
 
     def test_empty_trace(self):
         meta = TraceMeta(
@@ -391,13 +361,13 @@ class TestChunkBoundaries:
 
 
 class TestTraceWindowAcrossChunks:
-    """$REPRO_TRACE windows spanning chunk boundaries.
+    """$REPRO_TRACE windows over a long stretch of the trace.
 
     An active tracer forces the traced reference loop by design, so the
     invariant under test is: an env-traced run whose recording window
-    spans what would be several batch chunks is byte-identical to the
-    batched run of the same trace — tracing can never perturb state, and
-    the batch engine can never disagree with what the tracer saw.
+    covers hundreds of accesses is byte-identical to the batched run of
+    the same trace — tracing can never perturb state, and the batch
+    engine can never disagree with what the tracer saw.
     """
 
     MACHINE = MachineConfig(arch="base-victim", policy="nru").validate()
@@ -405,17 +375,17 @@ class TestTraceWindowAcrossChunks:
 
     def test_window_spans_chunk_boundaries(self, tmp_path, monkeypatch):
         trace = fuzz_trace(self.SEED)
-        chunk = 50  # several boundaries inside the window below
-        batched = run_engine(trace, self.MACHINE, "batch", chunk_size=chunk)
+        chunk = 50
+        batched = run_engine(trace, self.MACHINE, "batch")
 
         out = tmp_path / "events.jsonl"
         monkeypatch.setenv(TRACE_ENV, "1")
         monkeypatch.setenv(TRACE_LIMIT_ENV, str(3 * chunk + chunk // 2))
         monkeypatch.setenv(TRACE_FILE_ENV, str(out))
-        traced = run_engine(trace, self.MACHINE, "batch", chunk_size=chunk)
+        traced = run_engine(trace, self.MACHINE, "batch")
 
         assert batched == traced
         events = [json.loads(line) for line in out.read_text().splitlines()]
         recorded = [event["i"] for event in events if "i" in event]
         assert recorded[0] == 0
-        assert recorded[-1] > 2 * chunk  # the window really spans chunks
+        assert recorded[-1] > 2 * chunk  # the window really is long

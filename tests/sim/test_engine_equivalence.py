@@ -3,8 +3,8 @@
 ``simulate_trace`` carries two equivalent inner loops (see
 ``repro.sim.engine``): the traced reference loop — one
 ``hierarchy.access`` per demand access, per-access counter updates,
-the LLC's own methods — and the default batch engine, which vectorises
-L1 hit runs and inlines the miss path with counters batched in locals.
+the LLC's own methods — and the default batch engine, one scalar loop
+that inlines the demand path with counters batched in locals.
 A tracer forces the reference loop, so running the same (trace,
 machine) pair with and without one is a direct differential test of the
 optimization: every ``RunResult`` field and every serialised observation

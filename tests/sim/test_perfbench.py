@@ -49,25 +49,6 @@ class TestMeasureMatrix:
             assert "simulate" in entry["phase_seconds"]
         assert aggregate_rate(payload) > 0
 
-    def test_batch_engine_counters_per_entry(self):
-        payload = measure_matrix(
-            TEST, trace_names=("sjeng.1",), repeats=2, engine="batch"
-        )
-        for entry in payload["entries"]:
-            counters = entry["engine_counters"]
-            assert (
-                counters["vector_accesses"] + counters["scalar_accesses"]
-                == entry["accesses"]
-            )
-            assert counters["probes"] > 0
-
-    def test_traced_engine_counts_nothing(self):
-        payload = measure_matrix(
-            TEST, trace_names=("sjeng.1",), repeats=1, engine="traced"
-        )
-        for entry in payload["entries"]:
-            assert not any(entry["engine_counters"].values())
-
     def test_repeats_must_be_positive(self):
         with pytest.raises(ValueError, match="repeats"):
             measure_matrix(TEST, trace_names=("sjeng.1",), repeats=0)

@@ -2,9 +2,9 @@
 
 Three properties are load-bearing:
 
-* **round-trip** — a v3 file reads back exactly what was written, both
-  through the scalar :func:`read_trace` loader and the memory-mapped
-  :func:`open_trace_columns` column views;
+* **round-trip** — a v3 file reads back exactly what was written
+  through :func:`read_trace`, and every column section is 64-byte
+  aligned;
 * **migration losslessness** — ``repro trace migrate`` of a v2 (or v1)
   file yields a v3 file whose records and metadata are identical to what
   the scalar loader read from the original, and the rewrite is atomic
@@ -16,15 +16,14 @@ Three properties are load-bearing:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.workloads.suite import TraceSuite
 from repro.workloads.trace import LOAD, STORE, Trace, TraceMeta
 from repro.workloads.traceio import (
+    _parse_v3_header,
     migrate_trace,
-    open_trace_columns,
     read_trace,
     trace_file_version,
     TraceFormatError,
@@ -80,35 +79,15 @@ class TestRoundTrip:
         assert_same_trace(read_trace(path), trace)
 
     def test_column_sections_are_aligned(self, tmp_path):
-        """Every column section starts on a 64-byte boundary, so the
-        mmap views hand out naturally aligned buffers."""
-        trace = small_trace()
-        path = tmp_path / "t.rptr"
-        write_trace(trace, path)
-        _, columns = open_trace_columns(path)
-        for view in columns.values():
-            offset = view.offset  # np.memmap records its file offset
-            assert offset % 64 == 0
-
-    def test_mmap_columns_match_scalar_loader(self, tmp_path):
+        """Every column section starts on a 64-byte boundary, so a
+        mapped column is a naturally aligned buffer."""
         trace = small_trace(257)  # not a multiple of anything relevant
         path = tmp_path / "t.rptr"
         write_trace(trace, path)
-        meta, columns = open_trace_columns(path)
-        assert meta == trace.meta
-        assert columns["kinds"].dtype == np.int8
-        assert columns["addrs"].dtype == np.int64
-        assert columns["deltas"].dtype == np.int32
-        assert columns["addrs"].tolist() == list(trace.addrs)
-        assert columns["kinds"].tolist() == list(trace.kinds)
-        assert columns["deltas"].tolist() == list(trace.deltas)
-
-    def test_mmap_requires_v3(self, tmp_path):
-        trace = small_trace()
-        path = tmp_path / "old.rptr"
-        write_trace_v2(trace, path)
-        with pytest.raises(TraceFormatError, match="migrate"):
-            open_trace_columns(path)
+        _, count, toc, _ = _parse_v3_header(path, path.read_bytes())
+        assert count == 257
+        for section_offset, _, _ in toc:
+            assert section_offset % 64 == 0
 
 
 class TestMigration:
@@ -196,16 +175,6 @@ class TestCorruptionFuzz:
             victim.write_bytes(bytes(flipped))
             with pytest.raises(TraceFormatError):
                 read_trace(victim)
-
-    def test_flipped_body_bit_detected_by_mmap_reader_too(self, tmp_path):
-        trace = small_trace(40)
-        path = tmp_path / "t.rptr"
-        write_trace(trace, path)
-        data = bytearray(path.read_bytes())
-        data[-5] ^= 0x01  # inside the deltas section
-        path.write_bytes(bytes(data))
-        with pytest.raises(TraceFormatError, match="checksum"):
-            open_trace_columns(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         trace = small_trace()
